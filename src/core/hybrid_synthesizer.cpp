@@ -50,11 +50,6 @@ LayerOutcome solve_with_hooks(const schedule::LayerRequest& request,
       event.lp_warm_solves = outcome.lp_warm_solves;
       event.lp_cold_solves = outcome.lp_cold_solves;
       event.lp_refactorizations = outcome.lp_refactorizations;
-      event.milp_threads = outcome.milp_threads;
-      event.milp_steals = outcome.milp_steals;
-      event.milp_incumbent_updates = outcome.milp_incumbent_updates;
-      event.milp_incumbent_races = outcome.milp_incumbent_races;
-      event.milp_idle_seconds = outcome.milp_idle_seconds;
       event.milp_bound_prunes = outcome.milp_bound_prunes;
       event.milp_cutoff_prunes = outcome.milp_cutoff_prunes;
       event.milp_dive_lp_solves = outcome.milp_dive_lp_solves;

@@ -101,11 +101,6 @@ void copy_milp_stats(LayerOutcome& outcome, const milp::MilpSolution& solution) 
   outcome.lp_warm_solves = solution.lp_warm_solves;
   outcome.lp_cold_solves = solution.lp_cold_solves;
   outcome.lp_refactorizations = solution.lp_refactorizations;
-  outcome.milp_threads = solution.threads_used;
-  outcome.milp_steals = solution.steals;
-  outcome.milp_incumbent_updates = solution.incumbent_updates;
-  outcome.milp_incumbent_races = solution.incumbent_races;
-  outcome.milp_idle_seconds = solution.worker_idle_seconds;
   outcome.milp_bound_prunes = solution.bound_prunes;
   outcome.milp_cutoff_prunes = solution.cutoff_prunes;
   outcome.milp_dive_lp_solves = solution.dive_lp_solves;

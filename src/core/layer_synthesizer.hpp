@@ -26,15 +26,6 @@ struct LayerOutcome {
   long lp_warm_solves = 0;
   long lp_cold_solves = 0;
   long lp_refactorizations = 0;
-  /// Parallel MILP search summary (defaults when the solve ran sequentially):
-  /// worker team size, nodes stolen across worker deques, accepted shared
-  /// incumbent updates, offers lost to a concurrent update, and summed wall
-  /// time workers spent waiting for work.
-  int milp_threads = 1;
-  long milp_steals = 0;
-  long milp_incumbent_updates = 0;
-  long milp_incumbent_races = 0;
-  double milp_idle_seconds = 0.0;
   /// Bound-driven search summary: nodes pruned by the combinatorial bound
   /// before any LP solve, nodes pruned by the LP dual objective-cutoff, LP
   /// re-solves spent in the root dive, and whether the dive installed the

@@ -48,13 +48,6 @@ struct LayerSolveEvent {
   long lp_warm_solves = 0;
   long lp_cold_solves = 0;
   long lp_refactorizations = 0;
-  /// Parallel MILP search summary (defaults for sequential, heuristic-only
-  /// and cached solves); see LayerOutcome for field meanings.
-  int milp_threads = 1;
-  long milp_steals = 0;
-  long milp_incumbent_updates = 0;
-  long milp_incumbent_races = 0;
-  double milp_idle_seconds = 0.0;
   /// Bound-driven search summary (see LayerOutcome).
   long milp_bound_prunes = 0;
   long milp_cutoff_prunes = 0;

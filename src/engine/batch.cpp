@@ -35,16 +35,11 @@ class MetricsObserver final : public core::SolveObserver {
         lp_warm_solves_(metrics.counter("lp_warm_solves")),
         lp_cold_solves_(metrics.counter("lp_cold_solves")),
         lp_refactorizations_(metrics.counter("lp_refactorizations")),
-        milp_parallel_solves_(metrics.counter("milp_parallel_solves")),
-        milp_steals_(metrics.counter("milp_steals")),
-        milp_incumbent_updates_(metrics.counter("milp_incumbent_updates")),
-        milp_incumbent_races_(metrics.counter("milp_incumbent_races")),
         milp_bound_prunes_(metrics.counter("milp_bound_prunes")),
         milp_cutoff_prunes_(metrics.counter("milp_cutoff_prunes")),
         milp_dive_lp_solves_(metrics.counter("milp_dive_lp_solves")),
         milp_dive_incumbents_(metrics.counter("milp_dive_incumbents")),
-        solve_seconds_(metrics.histogram("layer_solve_seconds")),
-        milp_idle_seconds_(metrics.histogram("milp_worker_idle_seconds")) {}
+        solve_seconds_(metrics.histogram("layer_solve_seconds")) {}
 
   void on_layer_solve(const core::LayerSolveEvent& event) override {
     if (event.cache_hit) {
@@ -60,13 +55,6 @@ class MetricsObserver final : public core::SolveObserver {
     lp_warm_solves_.add(event.lp_warm_solves);
     lp_cold_solves_.add(event.lp_cold_solves);
     lp_refactorizations_.add(event.lp_refactorizations);
-    if (event.milp_threads > 1) {
-      milp_parallel_solves_.increment();
-      milp_steals_.add(event.milp_steals);
-      milp_incumbent_updates_.add(event.milp_incumbent_updates);
-      milp_incumbent_races_.add(event.milp_incumbent_races);
-      milp_idle_seconds_.observe(event.milp_idle_seconds);
-    }
     milp_bound_prunes_.add(event.milp_bound_prunes);
     milp_cutoff_prunes_.add(event.milp_cutoff_prunes);
     milp_dive_lp_solves_.add(event.milp_dive_lp_solves);
@@ -85,16 +73,11 @@ class MetricsObserver final : public core::SolveObserver {
   Counter& lp_warm_solves_;
   Counter& lp_cold_solves_;
   Counter& lp_refactorizations_;
-  Counter& milp_parallel_solves_;
-  Counter& milp_steals_;
-  Counter& milp_incumbent_updates_;
-  Counter& milp_incumbent_races_;
   Counter& milp_bound_prunes_;
   Counter& milp_cutoff_prunes_;
   Counter& milp_dive_lp_solves_;
   Counter& milp_dive_incumbents_;
   Histogram& solve_seconds_;
-  Histogram& milp_idle_seconds_;
 };
 
 std::string read_file(const std::string& path) {
@@ -138,16 +121,11 @@ std::string to_string(JobStatus status) {
   return "unknown";
 }
 
-int arbitrated_milp_threads(int requested, int jobs, unsigned hardware_threads) {
+int per_job_thread_share(int jobs, unsigned hardware_threads) {
   if (hardware_threads == 0) {
     hardware_threads = std::thread::hardware_concurrency();
   }
-  const int budget =
-      std::max(1, static_cast<int>(hardware_threads) / std::max(1, jobs));
-  if (requested <= 0) {
-    return budget;  // auto: the whole per-job share
-  }
-  return std::min(requested, budget);
+  return std::max(1, static_cast<int>(hardware_threads) / std::max(1, jobs));
 }
 
 BatchEngine::BatchEngine(BatchOptions options)
@@ -210,11 +188,6 @@ BatchResult BatchEngine::run_one(const BatchJob& job, const CancellationToken& t
     if (options_.cache_capacity > 0) {
       options.layer_cache = &cache_;
     }
-    // Per-solve workers and batch jobs draw from one concurrency budget, so
-    // a fully loaded pool degrades every solve to a single worker instead of
-    // oversubscribing the machine.
-    options.engine.milp.threads =
-        arbitrated_milp_threads(options_.milp_threads, options_.jobs);
     if (options_.deterministic_budgets) {
       // Wall-clock budgets make the layer solver load-dependent, which
       // breaks both the cache and --jobs determinism; fall back to a node
@@ -365,9 +338,9 @@ BatchResult BatchEngine::run_one(const BatchJob& job, const CancellationToken& t
       sim::FleetOptions fleet;
       fleet.runs = job.fleet_runs;
       fleet.seed = job.fleet_seed;
-      // Fleet workers draw from the same per-job concurrency share as the
-      // MILP solves; the reduction is identical either way.
-      fleet.jobs = arbitrated_milp_threads(0, options_.jobs);
+      // Fleet workers take the job's share of the machine, so a loaded pool
+      // never oversubscribes it; the reduction is identical either way.
+      fleet.jobs = per_job_thread_share(options_.jobs);
       fleet.runtime.seed = job.simulate_seed;
       if (job.fault_plan.has_value()) {
         fleet.runtime.faults = sim::parse_fault_plan(*job.fault_plan);

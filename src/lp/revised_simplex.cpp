@@ -23,9 +23,7 @@ constexpr double kInfeasibleTol = 1e-6;
 
 /// The immutable half of a revised-simplex instance: sparse structural
 /// columns (CSC), objective, right-hand sides and the model's original
-/// bounds (structural columns first, then one logical per row). Workspaces
-/// cloned off one instance share this read-only, so concurrent
-/// branch-and-bound workers pay for a single copy of the matrix.
+/// bounds (structural columns first, then one logical per row).
 struct SharedCscModel {
   int n = 0;      ///< structural columns
   int m = 0;      ///< rows (= logical columns)
@@ -118,7 +116,6 @@ class RevisedSimplex::Impl {
         m_(shared_->m),
         total_(shared_->total),
         eps_(options.tolerance),
-        options_(options),
         refactor_interval_(std::max(4, options.refactor_interval)),
         lower_(shared_->base_lower),
         upper_(shared_->base_upper) {
@@ -128,12 +125,6 @@ class RevisedSimplex::Impl {
 
   Impl(const LpModel& model, const SimplexOptions& options)
       : Impl(build_csc(model), options) {}
-
-  /// A fresh workspace over the same immutable matrix: original bounds, no
-  /// basis, zeroed stats.
-  [[nodiscard]] std::unique_ptr<Impl> clone_workspace() const {
-    return std::make_unique<Impl>(shared_, options_);
-  }
 
   void set_bounds(Col c, double lower, double upper) {
     COHLS_EXPECT(c >= 0 && c < n_, "column index out of range");
@@ -1002,8 +993,7 @@ class RevisedSimplex::Impl {
 
   // --- data -----------------------------------------------------------------
 
-  // Immutable model view, shared read-only across cloned workspaces.
-  // `shared_` owns it; the references alias into it so the algorithm code
+  // Immutable model view. `shared_` owns it; the references alias into it so the algorithm code
   // reads the matrix under the same names it always did. Logical column
   // n_ + r is the implicit unit column of row r.
   std::shared_ptr<const SharedCscModel> shared_;
@@ -1016,7 +1006,6 @@ class RevisedSimplex::Impl {
   const int m_;      ///< rows (= logical columns)
   const int total_;  ///< n_ + m_
   const double eps_;
-  const SimplexOptions options_;  ///< kept so clones inherit the configuration
   const int refactor_interval_;
   int max_iterations_;
 
@@ -1054,10 +1043,6 @@ class RevisedSimplex::Impl {
 
 RevisedSimplex::RevisedSimplex(const LpModel& model, const SimplexOptions& options)
     : impl_(std::make_unique<Impl>(model, options)) {}
-RevisedSimplex::RevisedSimplex(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
-RevisedSimplex RevisedSimplex::clone_workspace() const {
-  return RevisedSimplex(impl_->clone_workspace());
-}
 RevisedSimplex::~RevisedSimplex() = default;
 RevisedSimplex::RevisedSimplex(RevisedSimplex&&) noexcept = default;
 RevisedSimplex& RevisedSimplex::operator=(RevisedSimplex&&) noexcept = default;

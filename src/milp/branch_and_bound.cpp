@@ -1,18 +1,11 @@
 #include "milp/branch_and_bound.hpp"
 
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
-
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <deque>
-#include <exception>
 #include <limits>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "lp/presolve.hpp"
@@ -38,14 +31,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Feasibility tolerance for integral node relaxations and dive results
+/// offered as incumbents.
+constexpr double kIncumbentTolerance = 1e-5;
+
 /// One bound tightening on the branch path. Children share their parent's
 /// suffix, so a node's bounds are O(depth) deltas instead of the O(n)
 /// lower/upper vector copies the solver used to carry per node. The stored
 /// bounds are absolute (already intersected with everything above them on
 /// the path), so replaying root-to-leaf in order reproduces the node's
-/// effective bounds exactly. The shared_ptr spine is refcounted, so a
-/// subtree stolen by another worker keeps its path alive no matter when the
-/// victim pops (and drops) its own nodes.
+/// effective bounds exactly. The shared_ptr spine is refcounted, so a path
+/// lives exactly as long as some open node still hangs below it.
 struct PathStep {
   lp::Col col = -1;
   double lower = 0.0;
@@ -71,10 +67,9 @@ struct BoundUndo {
   double upper;
 };
 
-/// Everything one search thread needs to solve node relaxations: a private
-/// LP workspace (revised simplex sharing the immutable CSC matrix, or a
-/// cold scratch model), the effective-bound arrays of the node being
-/// solved, and the path/undo scratch. Never shared between threads.
+/// Everything the search needs to solve node relaxations: the LP workspace
+/// (revised simplex, or a cold scratch model), the effective-bound arrays of
+/// the node being solved, and the path/undo scratch.
 struct Workspace {
   std::optional<lp::RevisedSimplex> revised;
   lp::LpModel scratch;  ///< cold-solve path: bounds applied in place, one-shot solve_lp per node
@@ -92,73 +87,12 @@ struct Workspace {
   std::vector<double> orig_lower;
   std::vector<double> orig_upper;
 
-  /// Per-worker pseudocost history (objective degradation per unit of
-  /// fractionality, by branching side). Worker-private so the parallel
-  /// search stays lock-free; empty unless pseudocost branching is selected.
+  /// Pseudocost history (objective degradation per unit of fractionality,
+  /// by branching side); empty unless pseudocost branching is selected.
   std::vector<double> pc_down_sum;
   std::vector<double> pc_up_sum;
   std::vector<long> pc_down_count;
   std::vector<long> pc_up_count;
-};
-
-/// Per-worker slice of the parallel search result, merged after the join.
-struct WorkerReport {
-  lp::SolveStats lp{};
-  long cold_scratch_solves = 0;
-  long cold_scratch_pivots = 0;
-  double idle_seconds = 0.0;
-};
-
-/// A worker's node deque. The owner pushes and pops at the back (depth
-/// first, so the first child usually re-solves against an unchanged
-/// factorization); thieves take from the front, which holds the nodes
-/// closest to the root — the largest subtrees, amortizing the thief's
-/// refactorization over the most work.
-struct WorkerDeque {
-  util::Mutex mutex;
-  std::deque<Node> nodes COHLS_GUARDED_BY(mutex);
-};
-
-/// State shared by the worker team: the deques, the incumbent, the global
-/// budgets and the outcome flags. Budget counters use relaxed atomics — the
-/// queues' mutexes order the node hand-offs; the counters only need
-/// eventual agreement, not ordering.
-struct SharedSearch {
-  explicit SharedSearch(int workers) : queues(static_cast<std::size_t>(workers)) {}
-
-  std::vector<WorkerDeque> queues;
-  /// Nodes queued or currently being expanded; the team is done when 0.
-  std::atomic<long> open_nodes{0};
-  std::atomic<long> nodes{0};
-  std::atomic<bool> stop{false};
-  std::atomic<bool> cancelled{false};
-  std::atomic<bool> exhausted{true};
-  std::atomic<bool> root_infeasible{false};
-  std::atomic<bool> any_lp_solved{false};
-
-  /// Lock-free mirror of the incumbent value for pruning reads; the value
-  /// vector itself (and the authoritative value) live under the mutex.
-  std::atomic<bool> has_incumbent{false};
-  std::atomic<double> best_value{std::numeric_limits<double>::infinity()};
-  util::Mutex incumbent_mutex;
-  std::vector<double> incumbent COHLS_GUARDED_BY(incumbent_mutex);
-  double incumbent_value COHLS_GUARDED_BY(incumbent_mutex) =
-      std::numeric_limits<double>::infinity();
-
-  /// Root relaxation bound, written once by whichever worker solves the root.
-  std::atomic<double> root_bound{-MilpSolution::kBigBound};
-
-  std::atomic<long> steals{0};
-  std::atomic<long> incumbent_updates{0};
-  std::atomic<long> incumbent_races{0};
-  std::atomic<long> bound_prunes{0};
-  std::atomic<long> cutoff_prunes{0};
-  std::atomic<long> dive_lp_solves{0};
-  std::atomic<bool> dive_found{false};
-
-  /// First worker exception, rethrown on the calling thread after the join.
-  util::Mutex error_mutex;
-  std::exception_ptr error COHLS_GUARDED_BY(error_mutex);
 };
 
 class Solver {
@@ -178,16 +112,12 @@ class Solver {
       return out;
     }
     seed_warm_start();
-    if (options_.threads > 1) {
-      return run_parallel(options_.threads);
-    }
-    return run_sequential();
+    return search();
   }
 
  private:
-  // --- sequential search (threads == 1; the exact historical behavior) ------
-
-  MilpSolution run_sequential() {
+  /// Depth-first branch and bound from the root node.
+  MilpSolution search() {
     MilpSolution out;
     std::vector<Node> stack;
     stack.push_back(Node{nullptr, nullptr, -MilpSolution::kBigBound});
@@ -215,79 +145,79 @@ class Solver {
 
       ++nodes_;
       const bool at_root = node.path == nullptr;
-      apply_path(ws_, node.path);
+      apply_path(node.path);
 
       // Combinatorial bound first: it needs no LP solve, so a near-root node
       // it prunes costs almost nothing.
-      const double comb = combinatorial_bound(ws_);
+      const double comb = combinatorial_bound();
       if (comb == std::numeric_limits<double>::infinity()) {
         ++bound_prunes_;
         if (at_root) {
           root_infeasible_proven = true;
         }
-        undo_path(ws_);
+        undo_path();
         continue;
       }
       if (has_incumbent_ && comb >= incumbent_value_ - options_.absolute_gap) {
         ++bound_prunes_;
-        undo_path(ws_);
+        undo_path();
         continue;
       }
       if (at_root) {
         global_bound = std::max(global_bound, comb);
       }
 
-      set_lp_cutoff(ws_, at_root,
+      set_lp_cutoff(at_root,
                     has_incumbent_ ? incumbent_value_
                                    : std::numeric_limits<double>::infinity());
-      const lp::LpSolution relax = solve_node(ws_, node);
+      const lp::LpSolution relax = solve_node(node);
       if (relax.status == lp::LpStatus::CutoffReached) {
         // The dual objective is a valid lower bound, so this is an exact
         // prune — and still a usable pseudocost observation.
-        update_pseudocost(ws_, node, relax.objective);
+        update_pseudocost(node, relax.objective);
         ++cutoff_prunes_;
-        undo_path(ws_);
+        undo_path();
         continue;
       }
       if (relax.status == lp::LpStatus::Infeasible) {
         if (at_root) {
           root_infeasible_proven = true;
         }
-        undo_path(ws_);
+        undo_path();
         continue;
       }
       if (relax.status == lp::LpStatus::Unbounded) {
         // An unbounded relaxation of a bounded-variable MILP means free
         // continuous directions; report the best we have.
         exhausted = false;
-        undo_path(ws_);
+        undo_path();
         continue;
       }
       if (relax.status != lp::LpStatus::Optimal) {
         exhausted = false;  // iteration limit: bound unknown, cannot prune
-        undo_path(ws_);
+        undo_path();
         continue;
       }
       any_lp_solved = true;
-      update_pseudocost(ws_, node, relax.objective);
+      update_pseudocost(node, relax.objective);
       const double bound = std::max(relax.objective, comb);
       if (at_root) {
         global_bound = std::max(global_bound, bound);
       }
       if (has_incumbent_ && bound >= incumbent_value_ - options_.absolute_gap) {
-        undo_path(ws_);
+        undo_path();
         continue;
       }
 
-      const int branch_col = select_branch(ws_, relax.values);
+      const int branch_col = select_branch(relax.values);
       if (branch_col < 0) {
         // Integral: new incumbent.
-        offer_incumbent(relax.values);
-        undo_path(ws_);
+        offer_incumbent(relax.values, kIncumbentTolerance);
+        undo_path();
         continue;
       }
       if (options_.enable_rounding_heuristic) {
-        try_rounding(relax.values);
+        offer_incumbent(relax.values, options_.integrality_tolerance);
       }
 
       // Children re-solve from this node's optimal basis with the dual
@@ -298,9 +228,9 @@ class Solver {
         child_basis = std::make_shared<lp::Basis>(ws_.revised->basis());
       }
       if (at_root && options_.dive && use_revised_) {
-        run_root_dive(ws_, relax, nullptr);
+        run_root_dive(relax);
         if (has_incumbent_ && bound >= incumbent_value_ - options_.absolute_gap) {
-          undo_path(ws_);
+          undo_path();
           continue;  // the dive's incumbent already matches the root bound
         }
       }
@@ -318,7 +248,7 @@ class Solver {
               child_basis, bound, branch_col, frac, true};
       const bool down_viable = ws_.cur_lower[bc] <= down_hi;
       const bool up_viable = up_lo <= ws_.cur_upper[bc];
-      undo_path(ws_);
+      undo_path();
       // Depth-first; explore the child nearer the fractional value first
       // (push it last so it pops first).
       const bool up_first = value - floor_value > 0.5;
@@ -343,360 +273,6 @@ class Solver {
     finish(out, exhausted, global_bound, root_infeasible_proven, any_lp_solved);
     return out;
   }
-
-  // --- parallel search (threads > 1) ----------------------------------------
-
-  MilpSolution run_parallel(int threads) {
-    SharedSearch shared(threads);
-    if (has_incumbent_) {
-      // No worker is running yet; the locks below are uncontended and exist
-      // so the thread-safety analysis sees every guarded access locked.
-      util::MutexLock lock(shared.incumbent_mutex);
-      shared.incumbent = incumbent_;
-      shared.incumbent_value = incumbent_value_;
-      shared.best_value.store(incumbent_value_, std::memory_order_relaxed);
-      shared.has_incumbent.store(true, std::memory_order_release);
-    }
-    {
-      util::MutexLock lock(shared.queues[0].mutex);
-      shared.queues[0].nodes.push_back(
-          Node{nullptr, nullptr, -MilpSolution::kBigBound});
-    }
-    shared.open_nodes.store(1, std::memory_order_release);
-
-    std::vector<WorkerReport> reports(static_cast<std::size_t>(threads));
-    std::vector<std::thread> team;
-    team.reserve(static_cast<std::size_t>(threads) - 1);
-    for (int t = 1; t < threads; ++t) {
-      team.emplace_back([this, &shared, &reports, t] {
-        worker_main(shared, t, reports[static_cast<std::size_t>(t)]);
-      });
-    }
-    worker_main(shared, 0, reports[0]);
-    for (std::thread& member : team) {
-      member.join();
-    }
-    {
-      // Workers have joined; the lock keeps the analysis exact.
-      util::MutexLock lock(shared.error_mutex);
-      if (shared.error != nullptr) {
-        std::rethrow_exception(shared.error);
-      }
-    }
-
-    MilpSolution out;
-    out.nodes = shared.nodes.load(std::memory_order_relaxed);
-    out.cancelled = shared.cancelled.load(std::memory_order_relaxed);
-    out.threads_used = threads;
-    out.steals = shared.steals.load(std::memory_order_relaxed);
-    out.incumbent_updates = shared.incumbent_updates.load(std::memory_order_relaxed);
-    out.incumbent_races = shared.incumbent_races.load(std::memory_order_relaxed);
-    out.bound_prunes = shared.bound_prunes.load(std::memory_order_relaxed);
-    out.cutoff_prunes = shared.cutoff_prunes.load(std::memory_order_relaxed);
-    out.dive_lp_solves = shared.dive_lp_solves.load(std::memory_order_relaxed);
-    out.dive_found_incumbent = shared.dive_found.load(std::memory_order_relaxed);
-    lp::SolveStats lp_total;
-    for (const WorkerReport& report : reports) {
-      out.worker_idle_seconds += report.idle_seconds;
-      lp_total.accumulate(report.lp);
-      out.lp_pivots += report.cold_scratch_pivots;
-      out.lp_cold_solves += report.cold_scratch_solves;
-    }
-    if (use_revised_) {
-      out.lp_pivots = lp_total.primal_pivots + lp_total.dual_pivots;
-      out.lp_warm_solves = lp_total.warm_solves;
-      out.lp_cold_solves = lp_total.cold_solves;
-      out.lp_refactorizations = lp_total.refactorizations;
-    }
-
-    has_incumbent_ = shared.has_incumbent.load(std::memory_order_acquire);
-    {
-      util::MutexLock lock(shared.incumbent_mutex);
-      incumbent_ = std::move(shared.incumbent);
-      incumbent_value_ = shared.incumbent_value;
-    }
-    finish(out, shared.exhausted.load(std::memory_order_relaxed),
-           shared.root_bound.load(std::memory_order_relaxed),
-           shared.root_infeasible.load(std::memory_order_relaxed),
-           shared.any_lp_solved.load(std::memory_order_relaxed));
-    return out;
-  }
-
-  void worker_main(SharedSearch& shared, int id, WorkerReport& report) {
-    try {
-      // Worker 0 inherits the root workspace prepare() built (ws_ stays in
-      // place: the other workers clone its revised instance concurrently);
-      // the rest get private clones sharing the immutable CSC matrix.
-      std::optional<Workspace> local;
-      if (id != 0) {
-        local.emplace(make_worker_workspace());
-      }
-      Workspace& ws = id == 0 ? ws_ : *local;
-      int spins = 0;
-      while (!shared.stop.load(std::memory_order_acquire)) {
-        Node node;
-        if (!pop_or_steal(shared, id, node)) {
-          if (shared.open_nodes.load(std::memory_order_acquire) == 0) {
-            break;  // tree fully explored
-          }
-          const Clock::time_point idle_begin = Clock::now();
-          if (spins < 64) {
-            ++spins;
-            std::this_thread::yield();
-          } else {
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-          }
-          report.idle_seconds +=
-              std::chrono::duration<double>(Clock::now() - idle_begin).count();
-          continue;
-        }
-        spins = 0;
-        process_node(shared, ws, id, node);
-        shared.open_nodes.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      if (ws.revised.has_value()) {
-        report.lp = ws.revised->total_stats();
-      }
-      report.cold_scratch_solves = ws.cold_scratch_solves;
-      report.cold_scratch_pivots = ws.cold_scratch_pivots;
-    } catch (...) {
-      util::MutexLock lock(shared.error_mutex);
-      if (shared.error == nullptr) {
-        shared.error = std::current_exception();
-      }
-      shared.exhausted.store(false, std::memory_order_relaxed);
-      shared.stop.store(true, std::memory_order_release);
-    }
-  }
-
-  /// A fresh workspace for workers 1..N-1, sharing ws_'s immutable CSC
-  /// matrix read-only (cold-solve path: a private scratch model copy).
-  Workspace make_worker_workspace() {
-    Workspace ws;
-    if (use_revised_) {
-      ws.revised.emplace(ws_.revised->clone_workspace());
-    } else {
-      ws.scratch = reduced_.lp();
-    }
-    const int n = reduced_.variable_count();
-    ws.cur_lower.resize(static_cast<std::size_t>(n));
-    ws.cur_upper.resize(static_cast<std::size_t>(n));
-    for (lp::Col c = 0; c < n; ++c) {
-      ws.cur_lower[static_cast<std::size_t>(c)] = reduced_.lp().lower_bound(c);
-      ws.cur_upper[static_cast<std::size_t>(c)] = reduced_.lp().upper_bound(c);
-    }
-    init_workspace_extras(ws);
-    return ws;
-  }
-
-  bool pop_or_steal(SharedSearch& shared, int id, Node& out) {
-    WorkerDeque& own = shared.queues[static_cast<std::size_t>(id)];
-    {
-      util::MutexLock lock(own.mutex);
-      if (!own.nodes.empty()) {
-        out = std::move(own.nodes.back());
-        own.nodes.pop_back();
-        return true;
-      }
-    }
-    const int team = static_cast<int>(shared.queues.size());
-    for (int k = 1; k < team; ++k) {
-      WorkerDeque& victim = shared.queues[static_cast<std::size_t>((id + k) % team)];
-      util::MutexLock lock(victim.mutex);
-      if (!victim.nodes.empty()) {
-        out = std::move(victim.nodes.front());
-        victim.nodes.pop_front();
-        shared.steals.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// The parallel twin of the sequential loop body; identical pruning,
-  /// branching and accounting, against the shared incumbent and budgets.
-  void process_node(SharedSearch& shared, Workspace& ws, int id, Node& node) {
-    if (options_.cancel.can_cancel() && options_.cancel.cancelled()) {
-      shared.cancelled.store(true, std::memory_order_relaxed);
-      shared.exhausted.store(false, std::memory_order_relaxed);
-      shared.stop.store(true, std::memory_order_release);
-      return;
-    }
-    if (deadline_set_ && Clock::now() >= deadline_) {
-      shared.exhausted.store(false, std::memory_order_relaxed);
-      shared.stop.store(true, std::memory_order_release);
-      return;
-    }
-    if (shared.has_incumbent.load(std::memory_order_acquire) &&
-        node.parent_bound >=
-            shared.best_value.load(std::memory_order_relaxed) - options_.absolute_gap) {
-      return;  // cannot improve on the incumbent
-    }
-    const long sequence = shared.nodes.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (options_.max_nodes > 0 && sequence > options_.max_nodes) {
-      shared.nodes.fetch_sub(1, std::memory_order_relaxed);
-      shared.exhausted.store(false, std::memory_order_relaxed);
-      shared.stop.store(true, std::memory_order_release);
-      return;
-    }
-
-    const bool at_root = node.path == nullptr;
-    apply_path(ws, node.path);
-
-    const double comb = combinatorial_bound(ws);
-    if (comb == std::numeric_limits<double>::infinity()) {
-      shared.bound_prunes.fetch_add(1, std::memory_order_relaxed);
-      if (at_root) {
-        shared.root_infeasible.store(true, std::memory_order_relaxed);
-      }
-      undo_path(ws);
-      return;
-    }
-    if (shared.has_incumbent.load(std::memory_order_acquire) &&
-        comb >= shared.best_value.load(std::memory_order_relaxed) - options_.absolute_gap) {
-      shared.bound_prunes.fetch_add(1, std::memory_order_relaxed);
-      undo_path(ws);
-      return;
-    }
-
-    set_lp_cutoff(ws, at_root,
-                  shared.has_incumbent.load(std::memory_order_acquire)
-                      ? shared.best_value.load(std::memory_order_relaxed)
-                      : std::numeric_limits<double>::infinity());
-    const lp::LpSolution relax = solve_node(ws, node);
-    if (relax.status == lp::LpStatus::CutoffReached) {
-      update_pseudocost(ws, node, relax.objective);
-      shared.cutoff_prunes.fetch_add(1, std::memory_order_relaxed);
-      undo_path(ws);
-      return;
-    }
-    if (relax.status == lp::LpStatus::Infeasible) {
-      if (at_root) {
-        shared.root_infeasible.store(true, std::memory_order_relaxed);
-      }
-      undo_path(ws);
-      return;
-    }
-    if (relax.status != lp::LpStatus::Optimal) {
-      // Unbounded ray or iteration limit: bound unknown, cannot prune.
-      shared.exhausted.store(false, std::memory_order_relaxed);
-      undo_path(ws);
-      return;
-    }
-    shared.any_lp_solved.store(true, std::memory_order_relaxed);
-    update_pseudocost(ws, node, relax.objective);
-    const double bound = std::max(relax.objective, comb);
-    if (at_root) {
-      shared.root_bound.store(bound, std::memory_order_relaxed);
-    }
-    if (shared.has_incumbent.load(std::memory_order_acquire) &&
-        bound >= shared.best_value.load(std::memory_order_relaxed) - options_.absolute_gap) {
-      undo_path(ws);
-      return;
-    }
-
-    const int branch_col = select_branch(ws, relax.values);
-    if (branch_col < 0) {
-      offer_shared(shared, relax.values, /*tolerance=*/1e-5);
-      undo_path(ws);
-      return;
-    }
-    if (options_.enable_rounding_heuristic) {
-      offer_shared(shared, relax.values, options_.integrality_tolerance);
-    }
-
-    std::shared_ptr<const lp::Basis> child_basis;
-    if (use_revised_) {
-      child_basis = std::make_shared<lp::Basis>(ws.revised->basis());
-    }
-    if (at_root && options_.dive && use_revised_) {
-      // The root is expanded exactly once, before any child is stealable, so
-      // the dive's incumbent is in place before any teammate expands node 2.
-      run_root_dive(ws, relax, &shared);
-      if (shared.has_incumbent.load(std::memory_order_acquire) &&
-          bound >= shared.best_value.load(std::memory_order_relaxed) -
-                       options_.absolute_gap) {
-        undo_path(ws);
-        return;
-      }
-    }
-    const std::size_t bc = static_cast<std::size_t>(branch_col);
-    const double value = relax.values[bc];
-    const double floor_value = std::floor(value);
-    const double frac = value - floor_value;
-    const double down_hi = std::min(ws.cur_upper[bc], floor_value);
-    const double up_lo = std::max(ws.cur_lower[bc], floor_value + 1.0);
-    Node down{std::make_shared<PathStep>(
-                  PathStep{branch_col, ws.cur_lower[bc], down_hi, node.path}),
-              child_basis, bound, branch_col, frac, false};
-    Node up{std::make_shared<PathStep>(
-                PathStep{branch_col, up_lo, ws.cur_upper[bc], node.path}),
-            child_basis, bound, branch_col, frac, true};
-    const bool down_viable = ws.cur_lower[bc] <= down_hi;
-    const bool up_viable = up_lo <= ws.cur_upper[bc];
-    undo_path(ws);
-    const bool up_first = value - floor_value > 0.5;
-    WorkerDeque& own = shared.queues[static_cast<std::size_t>(id)];
-    auto push_child = [&shared, &own](Node&& child) {
-      // Count the node open *before* it becomes stealable, so open_nodes
-      // never under-reports and no worker exits while work remains.
-      shared.open_nodes.fetch_add(1, std::memory_order_acq_rel);
-      util::MutexLock lock(own.mutex);
-      own.nodes.push_back(std::move(child));
-    };
-    if (down_viable && !up_first) {
-      push_child(std::move(down));
-    }
-    if (up_viable) {
-      push_child(std::move(up));
-    }
-    if (down_viable && up_first) {
-      push_child(std::move(down));
-    }
-  }
-
-  /// Snaps integer columns, validates feasibility and offers the point as a
-  /// shared incumbent. Strictly worse offers are rejected without the lock;
-  /// at equal objective the lexicographically smaller vector wins, which
-  /// keeps exhausted parallel solves reproducible where exploration order
-  /// would otherwise decide the tie.
-  void offer_shared(SharedSearch& shared, const std::vector<double>& x, double tolerance) {
-    std::vector<double> snapped = x;
-    for (lp::Col c = 0; c < reduced_.variable_count(); ++c) {
-      if (reduced_.is_integer(c)) {
-        snapped[static_cast<std::size_t>(c)] =
-            std::round(snapped[static_cast<std::size_t>(c)]);
-      }
-    }
-    const double value = reduced_.lp().objective_value(snapped);
-    constexpr double kTie = 1e-12;
-    if (shared.has_incumbent.load(std::memory_order_acquire) &&
-        value > shared.best_value.load(std::memory_order_relaxed) + kTie) {
-      return;
-    }
-    if (!reduced_.is_feasible(snapped, tolerance)) {
-      return;
-    }
-    util::MutexLock lock(shared.incumbent_mutex);
-    const bool has = shared.has_incumbent.load(std::memory_order_relaxed);
-    bool take = !has || value < shared.incumbent_value - kTie;
-    if (!take && has && value <= shared.incumbent_value + kTie) {
-      take = std::lexicographical_compare(snapped.begin(), snapped.end(),
-                                          shared.incumbent.begin(),
-                                          shared.incumbent.end());
-    }
-    if (!take) {
-      shared.incumbent_races.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    shared.incumbent_value = has ? std::min(value, shared.incumbent_value) : value;
-    shared.incumbent = std::move(snapped);
-    shared.best_value.store(shared.incumbent_value, std::memory_order_relaxed);
-    shared.has_incumbent.store(true, std::memory_order_release);
-    shared.incumbent_updates.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // --- shared machinery -----------------------------------------------------
 
   /// Presolves the model, builds the reduced-space MILP and the root node
   /// solver. Returns false when presolve alone proves infeasibility (which
@@ -776,7 +352,28 @@ class Solver {
     // Two solves per dive level (fix + one backtrack flip), depth at most
     // the integer-column count, plus slack for re-fractionalizations.
     dive_budget_ = 2 * integer_columns + 8;
-    init_workspace_extras(ws_);
+    if (options_.branching == BranchingRule::Pseudocost) {
+      ws_.pc_down_sum.assign(static_cast<std::size_t>(n), 0.0);
+      ws_.pc_up_sum.assign(static_cast<std::size_t>(n), 0.0);
+      ws_.pc_down_count.assign(static_cast<std::size_t>(n), 0);
+      ws_.pc_up_count.assign(static_cast<std::size_t>(n), 0);
+    }
+    if (options_.bounds != nullptr) {
+      const std::size_t on = static_cast<std::size_t>(model_.variable_count());
+      ws_.orig_lower.resize(on);
+      ws_.orig_upper.resize(on);
+      for (lp::Col c = 0; c < model_.variable_count(); ++c) {
+        const std::size_t cs = static_cast<std::size_t>(c);
+        if (pre_.has_value() && pre_->column_fixed(c)) {
+          ws_.orig_lower[cs] = pre_->fixed_value(c);
+          ws_.orig_upper[cs] = pre_->fixed_value(c);
+        } else {
+          const lp::Col rc = pre_.has_value() ? pre_->reduced_column(c) : c;
+          ws_.orig_lower[cs] = reduced_.lp().lower_bound(rc);
+          ws_.orig_upper[cs] = reduced_.lp().upper_bound(rc);
+        }
+      }
+    }
 
     if (use_revised_) {
       ws_.revised.emplace(reduced_.lp(), options_.simplex);
@@ -784,35 +381,6 @@ class Solver {
       ws_.scratch = reduced_.lp();
     }
     return true;
-  }
-
-  /// Sizes the per-workspace pseudocost tables and the original-space bound
-  /// mirror a NodeBoundProvider reads. Called for the root workspace and for
-  /// every parallel worker clone.
-  void init_workspace_extras(Workspace& ws) const {
-    const std::size_t n = static_cast<std::size_t>(reduced_.variable_count());
-    if (options_.branching == BranchingRule::Pseudocost) {
-      ws.pc_down_sum.assign(n, 0.0);
-      ws.pc_up_sum.assign(n, 0.0);
-      ws.pc_down_count.assign(n, 0);
-      ws.pc_up_count.assign(n, 0);
-    }
-    if (options_.bounds != nullptr) {
-      const std::size_t on = static_cast<std::size_t>(model_.variable_count());
-      ws.orig_lower.resize(on);
-      ws.orig_upper.resize(on);
-      for (lp::Col c = 0; c < model_.variable_count(); ++c) {
-        const std::size_t cs = static_cast<std::size_t>(c);
-        if (pre_.has_value() && pre_->column_fixed(c)) {
-          ws.orig_lower[cs] = pre_->fixed_value(c);
-          ws.orig_upper[cs] = pre_->fixed_value(c);
-        } else {
-          const lp::Col rc = pre_.has_value() ? pre_->reduced_column(c) : c;
-          ws.orig_lower[cs] = reduced_.lp().lower_bound(rc);
-          ws.orig_upper[cs] = reduced_.lp().upper_bound(rc);
-        }
-      }
-    }
   }
 
   /// Maps MilpOptions::warm_start (original space) onto the reduced model.
@@ -853,55 +421,55 @@ class Solver {
 
   /// Replays the node's branch path onto the workspace's effective-bound
   /// arrays and its node solver, recording undo entries.
-  void apply_path(Workspace& ws, const std::shared_ptr<const PathStep>& path) {
-    ws.path_buffer.clear();
+  void apply_path(const std::shared_ptr<const PathStep>& path) {
+    ws_.path_buffer.clear();
     for (const PathStep* step = path.get(); step != nullptr; step = step->parent.get()) {
-      ws.path_buffer.push_back(step);
+      ws_.path_buffer.push_back(step);
     }
-    for (auto it = ws.path_buffer.rbegin(); it != ws.path_buffer.rend(); ++it) {
+    for (auto it = ws_.path_buffer.rbegin(); it != ws_.path_buffer.rend(); ++it) {
       const PathStep* step = *it;
       const std::size_t c = static_cast<std::size_t>(step->col);
-      ws.undo_stack.push_back({step->col, ws.cur_lower[c], ws.cur_upper[c]});
-      set_node_bounds(ws, step->col, step->lower, step->upper);
+      ws_.undo_stack.push_back({step->col, ws_.cur_lower[c], ws_.cur_upper[c]});
+      set_node_bounds(step->col, step->lower, step->upper);
     }
   }
 
-  void undo_path(Workspace& ws) {
-    for (auto it = ws.undo_stack.rbegin(); it != ws.undo_stack.rend(); ++it) {
-      set_node_bounds(ws, it->col, it->lower, it->upper);
+  void undo_path() {
+    for (auto it = ws_.undo_stack.rbegin(); it != ws_.undo_stack.rend(); ++it) {
+      set_node_bounds(it->col, it->lower, it->upper);
     }
-    ws.undo_stack.clear();
+    ws_.undo_stack.clear();
   }
 
-  void set_node_bounds(Workspace& ws, lp::Col c, double lower, double upper) {
+  void set_node_bounds(lp::Col c, double lower, double upper) {
     const std::size_t j = static_cast<std::size_t>(c);
-    ws.cur_lower[j] = lower;
-    ws.cur_upper[j] = upper;
-    if (!ws.orig_lower.empty()) {
+    ws_.cur_lower[j] = lower;
+    ws_.cur_upper[j] = upper;
+    if (!ws_.orig_lower.empty()) {
       // Reduced-column bounds are the original column's effective bounds
       // (presolve only removes columns, it never rescales the survivors),
       // so the mirror takes the same values at the mapped index.
       const std::size_t oc = static_cast<std::size_t>(orig_of_reduced_[j]);
-      ws.orig_lower[oc] = lower;
-      ws.orig_upper[oc] = upper;
+      ws_.orig_lower[oc] = lower;
+      ws_.orig_upper[oc] = upper;
     }
     if (use_revised_) {
-      ws.revised->set_bounds(c, lower, upper);
+      ws_.revised->set_bounds(c, lower, upper);
     } else {
-      ws.scratch.set_bounds(c, lower, upper);
+      ws_.scratch.set_bounds(c, lower, upper);
     }
   }
 
-  lp::LpSolution solve_node(Workspace& ws, const Node& node) {
+  lp::LpSolution solve_node(const Node& node) {
     if (use_revised_) {
       if (node.basis != nullptr && !node.basis->empty()) {
-        return ws.revised->solve_from(*node.basis);
+        return ws_.revised->solve_from(*node.basis);
       }
-      return ws.revised->solve();
+      return ws_.revised->solve();
     }
-    const lp::LpSolution solution = lp::solve_lp(ws.scratch, options_.simplex);
-    ++ws.cold_scratch_solves;
-    ws.cold_scratch_pivots += solution.iterations;
+    const lp::LpSolution solution = lp::solve_lp(ws_.scratch, options_.simplex);
+    ++ws_.cold_scratch_solves;
+    ws_.cold_scratch_pivots += solution.iterations;
     return solution;
   }
 
@@ -922,11 +490,11 @@ class Solver {
   /// incumbent_value_): the provider's original-space bound minus the
   /// objective mass on presolve-fixed columns. -infinity when no provider is
   /// configured; +infinity when the provider proves the node box empty.
-  double combinatorial_bound(const Workspace& ws) const {
+  double combinatorial_bound() const {
     if (options_.bounds == nullptr) {
       return -std::numeric_limits<double>::infinity();
     }
-    const double cb = options_.bounds->objective_lower_bound(ws.orig_lower, ws.orig_upper);
+    const double cb = options_.bounds->objective_lower_bound(ws_.orig_lower, ws_.orig_upper);
     if (cb == std::numeric_limits<double>::infinity()) {
       return cb;
     }
@@ -938,13 +506,13 @@ class Solver {
   /// the pruned node's rounding-heuristic pass, which is a trajectory change
   /// we keep out of the plain configuration. Off at the root so the root
   /// bound is always exact.
-  void set_lp_cutoff(Workspace& ws, bool at_root, double incumbent_value) {
+  void set_lp_cutoff(bool at_root, double incumbent_value) {
     if (!use_revised_ || options_.bounds == nullptr) {
       return;
     }
     const double cutoff = at_root ? std::numeric_limits<double>::infinity()
                                   : incumbent_value - options_.absolute_gap;
-    ws.revised->set_objective_cutoff(cutoff);
+    ws_.revised->set_objective_cutoff(cutoff);
   }
 
   /// Variable selection. Pseudocost mode scores a fractional column by the
@@ -952,8 +520,8 @@ class Solver {
   /// history on either side is "unreliable" and the rule falls back to
   /// most-fractional among the unreliable ones, which is exactly what
   /// initializes the pseudocosts. Returns -1 when the point is integral.
-  int select_branch(const Workspace& ws, const std::vector<double>& x) const {
-    if (options_.branching != BranchingRule::Pseudocost || ws.pc_down_sum.empty()) {
+  int select_branch(const std::vector<double>& x) const {
+    if (options_.branching != BranchingRule::Pseudocost || ws_.pc_down_sum.empty()) {
       return most_fractional(x);
     }
     int best_unreliable = -1;
@@ -971,16 +539,16 @@ class Solver {
         continue;
       }
       const double f = v - std::floor(v);
-      if (ws.pc_down_count[j] == 0 || ws.pc_up_count[j] == 0) {
+      if (ws_.pc_down_count[j] == 0 || ws_.pc_up_count[j] == 0) {
         if (frac > best_unreliable_frac) {
           best_unreliable_frac = frac;
           best_unreliable = c;
         }
       } else {
         const double down =
-            ws.pc_down_sum[j] / static_cast<double>(ws.pc_down_count[j]) * f;
+            ws_.pc_down_sum[j] / static_cast<double>(ws_.pc_down_count[j]) * f;
         const double up =
-            ws.pc_up_sum[j] / static_cast<double>(ws.pc_up_count[j]) * (1.0 - f);
+            ws_.pc_up_sum[j] / static_cast<double>(ws_.pc_up_count[j]) * (1.0 - f);
         const double score = std::max(down, 1e-6) * std::max(up, 1e-6);
         if (score > best_score) {
           best_score = score;
@@ -993,8 +561,8 @@ class Solver {
 
   /// Records the observed bound degradation of a child relative to its
   /// parent, normalized per unit of fractionality, on the branched column.
-  void update_pseudocost(Workspace& ws, const Node& node, double child_bound) const {
-    if (options_.branching != BranchingRule::Pseudocost || ws.pc_down_sum.empty() ||
+  void update_pseudocost(const Node& node, double child_bound) {
+    if (options_.branching != BranchingRule::Pseudocost || ws_.pc_down_sum.empty() ||
         node.branch_col < 0 || node.parent_bound <= -MilpSolution::kBigBound) {
       return;
     }
@@ -1005,57 +573,47 @@ class Solver {
     const double gain = std::max(0.0, child_bound - node.parent_bound) / denom;
     const std::size_t j = static_cast<std::size_t>(node.branch_col);
     if (node.branch_up) {
-      ws.pc_up_sum[j] += gain;
-      ++ws.pc_up_count[j];
+      ws_.pc_up_sum[j] += gain;
+      ++ws_.pc_up_count[j];
     } else {
-      ws.pc_down_sum[j] += gain;
-      ++ws.pc_down_count[j];
+      ws_.pc_down_sum[j] += gain;
+      ++ws_.pc_down_count[j];
     }
   }
 
   /// The root dive (see milp/dive.hpp): fixes its way down from the root
   /// relaxation with warm re-solves, offers any integral point it reaches as
-  /// an incumbent, and restores every bound it touched. `shared == nullptr`
-  /// means the sequential search. LP work lands in the dive counters, never
-  /// in the node budget.
-  void run_root_dive(Workspace& ws, const lp::LpSolution& root_relax,
-                     SharedSearch* shared) {
+  /// an incumbent, and restores every bound it touched. LP work lands in the
+  /// dive counters, never in the node budget.
+  void run_root_dive(const lp::LpSolution& root_relax) {
     std::vector<BoundUndo> undo;
-    lp::Basis dive_basis = ws.revised->basis();
+    lp::Basis dive_basis = ws_.revised->basis();
     DiveHooks hooks;
-    hooks.lower = &ws.cur_lower;
-    hooks.upper = &ws.cur_upper;
-    hooks.set_bounds = [this, &ws, &undo](lp::Col c, double lo, double hi) {
+    hooks.lower = &ws_.cur_lower;
+    hooks.upper = &ws_.cur_upper;
+    hooks.set_bounds = [this, &undo](lp::Col c, double lo, double hi) {
       const std::size_t j = static_cast<std::size_t>(c);
-      undo.push_back({c, ws.cur_lower[j], ws.cur_upper[j]});
-      set_node_bounds(ws, c, lo, hi);
+      undo.push_back({c, ws_.cur_lower[j], ws_.cur_upper[j]});
+      set_node_bounds(c, lo, hi);
     };
-    hooks.resolve = [this, &ws, &dive_basis]() {
-      lp::LpSolution sol = ws.revised->solve_from(dive_basis);
+    hooks.resolve = [this, &dive_basis]() {
+      lp::LpSolution sol = ws_.revised->solve_from(dive_basis);
       if (sol.status == lp::LpStatus::Optimal) {
-        dive_basis = ws.revised->basis();
+        dive_basis = ws_.revised->basis();
       }
       return sol;
     };
     const DiveResult result =
         dive_for_incumbent(reduced_, hooks, root_relax,
                            options_.integrality_tolerance,
-                           /*feasibility_tolerance=*/1e-5, dive_budget_);
+                           /*feasibility_tolerance=*/kIncumbentTolerance, dive_budget_);
     for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-      set_node_bounds(ws, it->col, it->lower, it->upper);
+      set_node_bounds(it->col, it->lower, it->upper);
     }
-    if (shared == nullptr) {
-      dive_lp_solves_ += result.lp_solves;
-      dive_found_ = dive_found_ || result.found;
-      if (result.found) {
-        offer_incumbent(result.values);
-      }
-    } else {
-      shared->dive_lp_solves.fetch_add(result.lp_solves, std::memory_order_relaxed);
-      if (result.found) {
-        shared->dive_found.store(true, std::memory_order_relaxed);
-        offer_shared(*shared, result.values, /*tolerance=*/1e-5);
-      }
+    dive_lp_solves_ += result.lp_solves;
+    dive_found_ = dive_found_ || result.found;
+    if (result.found) {
+      offer_incumbent(result.values, kIncumbentTolerance);
     }
   }
 
@@ -1076,7 +634,10 @@ class Solver {
     return best;
   }
 
-  void offer_incumbent(const std::vector<double>& x) {
+  /// Snaps the integer columns of `x` and installs the point as the
+  /// incumbent when it improves on the current one and is feasible within
+  /// `tolerance`.
+  void offer_incumbent(const std::vector<double>& x, double tolerance) {
     std::vector<double> snapped = x;
     for (lp::Col c = 0; c < reduced_.variable_count(); ++c) {
       if (reduced_.is_integer(c)) {
@@ -1085,27 +646,9 @@ class Solver {
       }
     }
     const double value = reduced_.lp().objective_value(snapped);
-    if (!has_incumbent_ || value < incumbent_value_ - 1e-12) {
-      if (reduced_.is_feasible(snapped, 1e-5)) {
-        incumbent_ = std::move(snapped);
-        incumbent_value_ = value;
-        has_incumbent_ = true;
-      }
-    }
-  }
-
-  void try_rounding(const std::vector<double>& x) {
-    std::vector<double> rounded = x;
-    for (lp::Col c = 0; c < reduced_.variable_count(); ++c) {
-      if (reduced_.is_integer(c)) {
-        rounded[static_cast<std::size_t>(c)] =
-            std::round(rounded[static_cast<std::size_t>(c)]);
-      }
-    }
-    const double value = reduced_.lp().objective_value(rounded);
     if ((!has_incumbent_ || value < incumbent_value_ - 1e-12) &&
-        reduced_.is_feasible(rounded, options_.integrality_tolerance)) {
-      incumbent_ = std::move(rounded);
+        reduced_.is_feasible(snapped, tolerance)) {
+      incumbent_ = std::move(snapped);
       incumbent_value_ = value;
       has_incumbent_ = true;
     }
@@ -1122,7 +665,7 @@ class Solver {
     return full;
   }
 
-  /// The common epilogue: best bound, incumbent restoration and status.
+  /// The epilogue: best bound, incumbent restoration and status.
   void finish(MilpSolution& out, bool exhausted, double global_bound,
               bool root_infeasible_proven, bool any_lp_solved) {
     const double bound_offset = objective_offset_;
@@ -1148,7 +691,7 @@ class Solver {
   MilpModel reduced_;  ///< presolved model the search actually branches over
   double objective_offset_ = 0.0;  ///< objective mass on presolve-fixed columns
   bool use_revised_ = true;
-  Workspace ws_;  ///< root workspace; worker 0's in a parallel solve
+  Workspace ws_;
   bool deadline_set_;
   Clock::time_point deadline_{};
   long nodes_ = 0;

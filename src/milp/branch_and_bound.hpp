@@ -35,26 +35,16 @@ enum class BranchingRule {
   /// fractionality (so the first descents behave like most-fractional and
   /// *initialize* the pseudocosts); once both sides are reliable the column
   /// with the best product of estimated bound degradations wins. History is
-  /// kept per search worker, so threads stay lock-free and threads == 1
-  /// stays bit-reproducible.
+  /// kept per solve, so a solve is bit-reproducible.
   Pseudocost,
 };
 
 struct MilpOptions {
-  /// Maximum branch-and-bound nodes (LP solves); <= 0 means unlimited. With
-  /// threads > 1 the budget is global across the worker team (enforced with
-  /// relaxed atomics), so a parallel solve expands the same number of nodes
-  /// as a sequential one.
+  /// Maximum branch-and-bound nodes (LP solves); <= 0 means unlimited.
   long max_nodes = 200000;
-  /// Branch-and-bound worker threads; values < 1 are treated as 1. The
-  /// default runs the exact sequential depth-first search. With N > 1, N
-  /// workers explore the tree through per-worker node deques with work
-  /// stealing and a shared incumbent; each worker owns a private LP
-  /// workspace (cloned off one immutable matrix) so child nodes still
-  /// re-solve warm from their parent's basis. Parallel search is exact —
-  /// status and optimal objective match the sequential solver — but when
-  /// several optima tie, or when a budget truncates the search, the
-  /// incumbent *vector* may differ across worker counts and runs.
+  /// Accepted and ignored: the search is one sequential depth-first loop, so
+  /// every value returns what 1 returns. Kept only so existing callers still
+  /// compile; parallelism comes from running independent solves at once.
   int threads = 1;
   /// Skip the warm-start fast path when the model's variable count plus
   /// constraint count is at most this (<= 0 disables the heuristic). Tiny
@@ -88,12 +78,11 @@ struct MilpOptions {
   /// bounds (in ORIGINAL model space) before its LP relaxation; the node
   /// prunes without an LP solve when the combinatorial bound already meets
   /// the incumbent, and otherwise the node bound is the max of the two.
-  /// Shared read-only across all search workers.
   std::shared_ptr<const NodeBoundProvider> bounds;
-  /// Depth-first rounding/fixing dive at the root, before any fan-out: fix
+  /// Depth-first rounding/fixing dive at the root, before branching: fix
   /// the least-fractional integer column to its nearest value, re-solve warm,
   /// backtrack once per column on infeasibility. A successful dive installs a
-  /// feasible incumbent every worker can prune against from node 1. Dive LP
+  /// feasible incumbent the search can prune against from node 2. Dive LP
   /// solves are *not* charged against max_nodes.
   bool dive = true;
   /// Variable-selection rule at branch time.
@@ -125,14 +114,9 @@ struct MilpSolution {
   long dive_lp_solves = 0; ///< LP solves spent inside the root dive (not nodes)
   bool dive_found_incumbent = false;  ///< the root dive installed an incumbent
 
-  // Parallel-search work summary (left at defaults when threads == 1).
-  int threads_used = 1;        ///< worker team size the solve actually ran with
-  long steals = 0;             ///< nodes taken from another worker's deque
-  long incumbent_updates = 0;  ///< accepted shared-incumbent improvements
-  /// Offers that reached the incumbent lock but lost to a concurrent update
-  /// (a direct measure of incumbent contention between workers).
-  long incumbent_races = 0;
-  double worker_idle_seconds = 0.0;  ///< summed wall time workers waited for work
+  /// Always 0: the search has no worker team to wait for work. Kept only so
+  /// existing readers still compile.
+  double worker_idle_seconds = 0.0;
 
   static constexpr double kBigBound = 1e100;
 };

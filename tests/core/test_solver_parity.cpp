@@ -68,12 +68,6 @@ TEST(SolverParity, RevisedAndDenseAgreeOnAblationDAssays) {
     const SynthesisReport dense = synthesize(
         assay, ablation_d_options(lp::SimplexAlgorithm::Dense, false, &dense_stats));
 
-    CountingObserver parallel_stats;
-    SynthesisOptions parallel_options =
-        ablation_d_options(lp::SimplexAlgorithm::Revised, true, &parallel_stats);
-    parallel_options.engine.milp.threads = 4;
-    const SynthesisReport parallel = synthesize(assay, parallel_options);
-
     const auto revised_violations =
         schedule::validate_result(revised.result, assay, revised.transport);
     ASSERT_TRUE(revised_violations.empty())
@@ -83,20 +77,10 @@ TEST(SolverParity, RevisedAndDenseAgreeOnAblationDAssays) {
     ASSERT_TRUE(dense_violations.empty())
         << "seed " << seed << ": " << dense_violations.front();
 
-    const auto parallel_violations =
-        schedule::validate_result(parallel.result, assay, parallel.transport);
-    ASSERT_TRUE(parallel_violations.empty())
-        << "seed " << seed << ": " << parallel_violations.front();
-
     const double revised_objective =
         revised.iterations.back().objective.weighted_total;
     const double dense_objective = dense.iterations.back().objective.weighted_total;
     EXPECT_NEAR(revised_objective, dense_objective, 1e-6) << "seed " << seed;
-    // A 4-worker exact search must land on the same final objective as the
-    // sequential one (incumbent vectors may differ at equal objective).
-    const double parallel_objective =
-        parallel.iterations.back().objective.weighted_total;
-    EXPECT_NEAR(parallel_objective, revised_objective, 1e-6) << "seed " << seed;
 
     // Both configurations must actually exercise their engine: the MILP
     // has to run on these layers (pivots accumulate even when the

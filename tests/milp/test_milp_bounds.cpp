@@ -1,6 +1,6 @@
 // Bound-driven search: validity of the combinatorial node bounds, dive
 // incumbent certification, and exactness of the solver with bounds attached
-// (sequential, parallel, and dense-vs-revised differential).
+// (sequential, threads = 4 bit-identity, and dense-vs-revised differential).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -244,8 +244,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SchedulingBoundMonotonicity, ::testing::Range(0,
 
 class SchedulingThreadParity : public ::testing::TestWithParam<int> {};
 
-// With bounds and dive attached, a 4-worker team reports the same status and
-// objective as the sequential search.
+// With bounds and dive attached, threads = 4 still runs the one sequential
+// search: the result is bit-identical to threads = 1.
 TEST_P(SchedulingThreadParity, FourWorkersMatchSequentialWithBounds) {
   const auto instance = make_from_seed(static_cast<std::uint64_t>(GetParam()) + 2000);
   const auto provider = std::make_shared<SchedulingBounds>(instance.config);
@@ -254,12 +254,13 @@ TEST_P(SchedulingThreadParity, FourWorkersMatchSequentialWithBounds) {
   opts.bounds = provider;
   const auto sequential = solve_milp(instance.model, opts);
   opts.threads = 4;
-  const auto parallel = solve_milp(instance.model, opts);
+  const auto four = solve_milp(instance.model, opts);
 
   ASSERT_EQ(sequential.status, MilpStatus::Optimal);
-  EXPECT_EQ(parallel.status, sequential.status);
-  EXPECT_NEAR(parallel.objective, sequential.objective, 1e-6);
-  EXPECT_TRUE(instance.model.is_feasible(parallel.values, 1e-5));
+  EXPECT_EQ(four.status, sequential.status);
+  EXPECT_EQ(four.objective, sequential.objective);
+  EXPECT_EQ(four.values, sequential.values);
+  EXPECT_EQ(four.nodes, sequential.nodes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulingThreadParity, ::testing::Range(0, 15));

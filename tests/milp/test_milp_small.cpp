@@ -1,12 +1,39 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+#include <vector>
+
 #include "milp/branch_and_bound.hpp"
 #include "milp/model.hpp"
+#include "util/cancellation.hpp"
 
 namespace cohls::milp {
 namespace {
 
 constexpr double kTol = 1e-6;
+
+/// Identical even weights against an odd capacity keep every relaxation
+/// fractional, so the tree is deep and the search runs until a limit stops
+/// it.
+MilpModel make_branchy_knapsack(int items, double capacity) {
+  MilpModel model;
+  std::vector<lp::Term> row;
+  for (int i = 0; i < items; ++i) {
+    row.emplace_back(model.add_binary(-1.0 - 0.01 * i), 2.0);
+  }
+  model.add_constraint(std::move(row), lp::RowSense::LessEqual, capacity);
+  return model;
+}
+
+/// Node budgets only, revised path regardless of size: deterministic work.
+MilpOptions branchy_options() {
+  MilpOptions options;
+  options.time_limit_seconds = 0.0;
+  options.cold_solve_threshold = 0;
+  options.enable_rounding_heuristic = false;  // keep the tree from closing early
+  return options;
+}
 
 TEST(Milp, PureLpPassesThrough) {
   MilpModel m;
@@ -126,6 +153,42 @@ TEST(Milp, NodeLimitReportsFeasibleOrNoSolution) {
   opts.warm_start = start;
   const auto sol = solve_milp(m, opts);
   EXPECT_EQ(sol.status, MilpStatus::Feasible);
+}
+
+TEST(Milp, TruncatedSearchExpandsExactlyTheNodeBudget) {
+  // The node counter, not wall clock, ends a truncated search.
+  MilpOptions options = branchy_options();
+  options.max_nodes = 40;
+  const MilpSolution sol = solve_milp(make_branchy_knapsack(24, 21.0), options);
+  EXPECT_EQ(sol.nodes, 40);
+  EXPECT_NE(sol.status, MilpStatus::Optimal);
+}
+
+TEST(Milp, CancellationStopsTheSearchPromptly) {
+  const MilpModel model = make_branchy_knapsack(30, 29.0);
+  CancellationSource source;
+  MilpOptions options = branchy_options();
+  options.max_nodes = 0;  // unbounded: only the token ends this search
+  options.cancel = source.token();
+
+  std::thread trigger([&source] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    source.request_stop();
+  });
+  const auto begin = std::chrono::steady_clock::now();
+  const MilpSolution sol = solve_milp(model, options);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
+  trigger.join();
+
+  EXPECT_TRUE(sol.cancelled);
+  EXPECT_NE(sol.status, MilpStatus::Optimal);
+  // The search polls the token per node; a cancelled solve must return in
+  // token-poll time, not tree-exhaustion time.
+  EXPECT_LT(elapsed, 5.0);
+  if (sol.status == MilpStatus::Feasible) {
+    EXPECT_TRUE(model.is_feasible(sol.values, 1e-5));
+  }
 }
 
 TEST(Milp, BigMDisjunctionPicksASide) {

@@ -3,10 +3,6 @@
 //   cohls_batch <manifest> [options]
 //
 //   --jobs N               worker threads (default 1)
-//   --milp-threads N       workers inside each layer MILP solve; 0 = auto,
-//                          sharing the machine with --jobs so that
-//                          jobs x milp-threads never oversubscribes
-//                          (default 1 = sequential, bit-deterministic)
 //   --max-devices N        |D|, the device budget per assay (default 25)
 //   --threshold N          layer threshold t (default 10)
 //   --transport N          initial transport constant, minutes (default 5)
@@ -69,9 +65,10 @@
 //                          diagnostics arrays, instead of the table)
 //
 // The manifest lists one assay file per line ('#' comments allowed);
-// relative paths resolve against the manifest's directory. Exit status is 0
-// when every job succeeded, 1 when any failed, 2 on usage errors, 130 on
-// SIGINT.
+// relative paths resolve against the manifest's directory. Numeric values
+// must be the whole token, in range (reals also finite). Exit status is 0
+// when every job succeeded, 1 when any failed, 2 on usage errors (a
+// malformed value included), 130 on SIGINT.
 //
 // All file outputs (--save-results, --results-json, --metrics-json) are
 // written atomically: content goes to a temp file that is renamed into
@@ -80,13 +77,9 @@
 // results document (interrupted jobs report "cancelled"), and the exit
 // status is 130.
 //
-// Results are bit-identical for any --jobs value at the default
-// --milp-threads 1: the engine replaces wall-clock MILP budgets with node
-// budgets, and the shared layer cache only returns solutions the solver
-// would have produced itself. With --milp-threads != 1 the parallel exact
-// search still returns the same objectives, but incumbent ties can resolve
-// differently, so results are objective-identical rather than
-// bit-identical.
+// Results are bit-identical for any --jobs value: the engine replaces
+// wall-clock MILP budgets with node budgets, and the shared layer cache only
+// returns solutions the solver would have produced itself.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -98,6 +91,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "diag/diagnostic.hpp"
 #include "engine/batch.hpp"
 #include "util/table.hpp"
@@ -136,7 +130,7 @@ void handle_sigint(int) { g_interrupted = 1; }
 
 [[noreturn]] void usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " <manifest> [--jobs N] [--milp-threads N] [--max-devices N]"
+            << " <manifest> [--jobs N] [--max-devices N]"
                " [--threshold N]"
                " [--transport N] [--conventional] [--deadline S]"
                " [--cache-capacity N] [--cache-shards N] [--no-cache]"
@@ -151,11 +145,9 @@ void handle_sigint(int) { g_interrupted = 1; }
   std::exit(2);
 }
 
-long numeric_arg(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    usage(argv[0]);
-  }
-  return std::stol(argv[++i]);
+template <class T>
+T numeric_arg(int argc, char** argv, int& i) {
+  return cli::flag_value<T>(argc, argv, i, usage);
 }
 
 std::string string_arg(int argc, char** argv, int& i) {
@@ -170,25 +162,21 @@ CliOptions parse_cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--jobs") {
-      cli.batch.jobs = static_cast<int>(numeric_arg(argc, argv, i));
-    } else if (arg == "--milp-threads") {
-      cli.batch.milp_threads = static_cast<int>(numeric_arg(argc, argv, i));
+      cli.batch.jobs = numeric_arg<int>(argc, argv, i);
     } else if (arg == "--max-devices") {
-      cli.synthesis.max_devices = static_cast<int>(numeric_arg(argc, argv, i));
+      cli.synthesis.max_devices = numeric_arg<int>(argc, argv, i);
     } else if (arg == "--threshold") {
-      cli.synthesis.layering.indeterminate_threshold =
-          static_cast<int>(numeric_arg(argc, argv, i));
+      cli.synthesis.layering.indeterminate_threshold = numeric_arg<int>(argc, argv, i);
     } else if (arg == "--transport") {
-      cli.synthesis.initial_transport = Minutes{numeric_arg(argc, argv, i)};
+      cli.synthesis.initial_transport = Minutes{numeric_arg<std::int64_t>(argc, argv, i)};
     } else if (arg == "--conventional") {
       cli.conventional = true;
     } else if (arg == "--deadline") {
-      cli.deadline_seconds = std::stod(string_arg(argc, argv, i));
+      cli.deadline_seconds = numeric_arg<double>(argc, argv, i);
     } else if (arg == "--cache-capacity") {
-      cli.batch.cache_capacity =
-          static_cast<std::size_t>(numeric_arg(argc, argv, i));
+      cli.batch.cache_capacity = numeric_arg<std::size_t>(argc, argv, i);
     } else if (arg == "--cache-shards") {
-      cli.batch.cache_shards = static_cast<int>(numeric_arg(argc, argv, i));
+      cli.batch.cache_shards = numeric_arg<int>(argc, argv, i);
     } else if (arg == "--stable-json") {
       cli.stable_json = true;
     } else if (arg == "--no-cache") {
@@ -196,27 +184,27 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if (arg == "--verify-cache") {
       cli.batch.verify_cache_hits = true;
     } else if (arg == "--repeat") {
-      cli.repeat = static_cast<int>(numeric_arg(argc, argv, i));
+      cli.repeat = numeric_arg<int>(argc, argv, i);
     } else if (arg == "--retries") {
-      cli.batch.max_retries = static_cast<int>(numeric_arg(argc, argv, i));
+      cli.batch.max_retries = numeric_arg<int>(argc, argv, i);
     } else if (arg == "--stall") {
-      cli.batch.stall_seconds = std::stod(string_arg(argc, argv, i));
+      cli.batch.stall_seconds = numeric_arg<double>(argc, argv, i);
     } else if (arg == "--inject-faults") {
       cli.fault_plan_path = string_arg(argc, argv, i);
     } else if (arg == "--simulate-seed") {
-      cli.simulate_seed = static_cast<std::uint64_t>(numeric_arg(argc, argv, i));
+      cli.simulate_seed = numeric_arg<std::uint64_t>(argc, argv, i);
     } else if (arg == "--fleet") {
-      cli.fleet_runs = static_cast<int>(numeric_arg(argc, argv, i));
+      cli.fleet_runs = numeric_arg<int>(argc, argv, i);
     } else if (arg == "--hazard") {
       cli.hazard_spec = string_arg(argc, argv, i);
     } else if (arg == "--fleet-seed") {
-      cli.fleet_seed = static_cast<std::uint64_t>(numeric_arg(argc, argv, i));
+      cli.fleet_seed = numeric_arg<std::uint64_t>(argc, argv, i);
     } else if (arg == "--fleet-recover") {
       cli.fleet_recover = true;
     } else if (arg == "--recover-rounds") {
-      cli.recover_rounds = static_cast<int>(numeric_arg(argc, argv, i));
+      cli.recover_rounds = numeric_arg<int>(argc, argv, i);
     } else if (arg == "--recover-budget") {
-      cli.recover_budget_seconds = std::stod(string_arg(argc, argv, i));
+      cli.recover_budget_seconds = numeric_arg<double>(argc, argv, i);
     } else if (arg == "--save-results") {
       cli.save_results_dir = string_arg(argc, argv, i);
     } else if (arg == "--results-json") {
