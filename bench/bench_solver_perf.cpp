@@ -212,12 +212,12 @@ milp::MilpOptions solver_config(bool warm_revised, long node_cap,
   options.time_limit_seconds = 600.0;
   options.bounds = std::move(bounds);
   if (warm_revised) {
-    options.simplex.algorithm = lp::SimplexAlgorithm::Revised;
+    options.simplex = lp::SimplexAlgorithm::Revised;
     options.presolve = true;
   } else {
     // The seed configuration: dense tableau, every node solved from
     // scratch, no root presolve.
-    options.simplex.algorithm = lp::SimplexAlgorithm::Dense;
+    options.simplex = lp::SimplexAlgorithm::Dense;
     options.presolve = false;
   }
   return options;

@@ -188,14 +188,12 @@ BatchResult BatchEngine::run_one(const BatchJob& job, const CancellationToken& t
     if (options_.cache_capacity > 0) {
       options.layer_cache = &cache_;
     }
-    if (options_.deterministic_budgets) {
-      // Wall-clock budgets make the layer solver load-dependent, which
-      // breaks both the cache and --jobs determinism; fall back to a node
-      // budget when the caller left the MILP unbounded.
-      options.engine.milp.time_limit_seconds = 0.0;
-      if (options.engine.milp.max_nodes <= 0) {
-        options.engine.milp.max_nodes = 20000;
-      }
+    // Wall-clock budgets make the layer solver load-dependent, which breaks
+    // both the cache and --jobs determinism; fall back to a node budget when
+    // the caller left the MILP unbounded.
+    options.engine.milp.time_limit_seconds = 0.0;
+    if (options.engine.milp.max_nodes <= 0) {
+      options.engine.milp.max_nodes = 20000;
     }
 
     // Resilience ladder. Rung 1: transient-failure retry with exponential
@@ -446,14 +444,11 @@ std::vector<BatchResult> BatchEngine::run(const std::vector<BatchJob>& jobs) {
   futures.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const BatchJob& job = jobs[i];
-    const double deadline = job.deadline_seconds > 0.0
-                                ? job.deadline_seconds
-                                : options_.default_deadline_seconds;
     futures.push_back(pool.submit(
         [this, &job, &rows, i](const CancellationToken& token) {
           rows[i] = run_one(job, token);
         },
-        deadline));
+        job.deadline_seconds));
   }
   for (std::size_t i = 0; i < futures.size(); ++i) {
     try {

@@ -137,13 +137,6 @@ struct BatchOptions {
   /// behaviour, reported stats and results are identical for any value
   /// (tests sweep this to prove it).
   int cache_shards = 16;
-  /// Replace wall-clock MILP budgets with node budgets, so a layer solve
-  /// returns the same result regardless of machine load. Required for the
-  /// cache to be sound and for --jobs N determinism; disable only for
-  /// latency experiments.
-  bool deterministic_budgets = true;
-  /// Default per-job deadline applied when a job does not set its own.
-  double default_deadline_seconds = 0.0;
   /// Debug: verify every cache hit against a fresh solve (see
   /// LayerSolutionCache::set_verify_hits).
   bool verify_cache_hits = false;

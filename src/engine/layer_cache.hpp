@@ -8,7 +8,7 @@
 //
 // Caching is only sound when the per-layer solver is deterministic for a
 // given context; wall-clock MILP budgets violate that, so the batch engine
-// replaces them with node budgets (see BatchOptions::deterministic_budgets).
+// always replaces them with node budgets.
 #pragma once
 
 #include <cstdint>

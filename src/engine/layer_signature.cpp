@@ -111,10 +111,6 @@ LayerSignature layer_signature(const core::LayerSolveContext& context) {
       << " dev=" << engine.ilp_max_devices << " slots=" << engine.ilp_new_slots
       << " nodes=" << engine.milp.max_nodes << " tl=";
   put_double(out, engine.milp.time_limit_seconds);
-  out << " tol=";
-  put_double(out, engine.milp.integrality_tolerance);
-  out << " gap=";
-  put_double(out, engine.milp.absolute_gap);
   out << " round=" << engine.milp.enable_rounding_heuristic << "\n";
 
   // Cost model and registry processing costs.

@@ -9,6 +9,15 @@
 
 namespace cohls::layout {
 
+namespace {
+
+/// Annealing temperature of the first sweep; each sweep multiplies it by
+/// kCooling.
+constexpr double kInitialTemperature = 8.0;
+constexpr double kCooling = 0.95;
+
+}  // namespace
+
 std::map<schedule::DevicePath, int> path_usage(const schedule::SynthesisResult& result,
                                                const model::Assay& assay) {
   std::map<schedule::DevicePath, int> usage;
@@ -82,8 +91,6 @@ std::string Placement::to_ascii() const {
 Placement place_devices(const schedule::SynthesisResult& result,
                         const model::Assay& assay, const PlacementOptions& options) {
   COHLS_EXPECT(options.sweeps >= 0, "sweeps must be non-negative");
-  COHLS_EXPECT(options.cooling > 0.0 && options.cooling < 1.0,
-               "cooling factor must be in (0, 1)");
 
   std::set<DeviceId> used;
   for (const auto& layer : result.layers) {
@@ -147,7 +154,7 @@ Placement place_devices(const schedule::SynthesisResult& result,
 
   Rng rng{options.seed};
   double current = cost();
-  double temperature = options.initial_temperature;
+  double temperature = kInitialTemperature;
   for (int sweep = 0; sweep < options.sweeps; ++sweep) {
     for (std::size_t move = 0; move < devices.size(); ++move) {
       const std::size_t d = static_cast<std::size_t>(
@@ -181,7 +188,7 @@ Placement place_devices(const schedule::SynthesisResult& result,
         }
       }
     }
-    temperature *= options.cooling;
+    temperature *= kCooling;
   }
 
   std::vector<GridPosition> positions(devices.size());

@@ -30,8 +30,6 @@ struct PlacementOptions {
   int grid_width = 0;
   /// Simulated-annealing sweeps (each tries one move per device).
   int sweeps = 200;
-  double initial_temperature = 8.0;
-  double cooling = 0.95;
   std::uint64_t seed = 1;
 };
 

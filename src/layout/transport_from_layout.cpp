@@ -4,14 +4,20 @@
 
 namespace cohls::layout {
 
+namespace {
+
+/// Transport time of edges whose endpoints are not in the placement.
+constexpr Minutes kFallback{3};
+
+}  // namespace
+
 schedule::TransportPlan transport_from_layout(const Placement& placement,
                                               const schedule::SynthesisResult& result,
                                               const model::Assay& assay,
                                               const LayoutTransportOptions& options) {
-  COHLS_EXPECT(options.minimum >= Minutes{0} && options.per_cell >= Minutes{0} &&
-                   options.fallback >= Minutes{0},
+  COHLS_EXPECT(options.minimum >= Minutes{0} && options.per_cell >= Minutes{0},
                "layout transport times must be non-negative");
-  schedule::TransportPlan plan(options.fallback);
+  schedule::TransportPlan plan(kFallback);
   const auto binding = result.binding();
   for (const model::Operation& op : assay.operations()) {
     const auto parent_device = binding.find(op.id());

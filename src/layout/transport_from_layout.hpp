@@ -15,8 +15,6 @@ struct LayoutTransportOptions {
   Minutes minimum{1};
   /// Additional minutes per extra grid cell of channel length.
   Minutes per_cell{1};
-  /// Fallback for edges whose endpoints are not in the placement.
-  Minutes fallback{3};
 };
 
 [[nodiscard]] schedule::TransportPlan transport_from_layout(

@@ -186,14 +186,14 @@ Presolved presolve(const LpModel& original) {
   return out;
 }
 
-LpSolution solve_lp_with_presolve(const LpModel& model, const SimplexOptions& options) {
+LpSolution solve_lp_with_presolve(const LpModel& model, SimplexAlgorithm algorithm) {
   const Presolved pre = presolve(model);
   if (pre.infeasible()) {
     LpSolution solution;
     solution.status = LpStatus::Infeasible;
     return solution;
   }
-  LpSolution reduced = solve_lp(pre.model(), options);
+  LpSolution reduced = solve_lp(pre.model(), algorithm);
   if (reduced.status != LpStatus::Optimal) {
     return reduced;
   }

@@ -74,7 +74,7 @@ class Presolved {
 [[nodiscard]] Presolved presolve(const LpModel& original);
 
 /// Convenience: presolve + solve + restore. Statuses mirror solve_lp.
-[[nodiscard]] LpSolution solve_lp_with_presolve(const LpModel& model,
-                                                const SimplexOptions& options = {});
+[[nodiscard]] LpSolution solve_lp_with_presolve(
+    const LpModel& model, SimplexAlgorithm algorithm = SimplexAlgorithm::Revised);
 
 }  // namespace cohls::lp

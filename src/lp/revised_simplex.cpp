@@ -19,112 +19,75 @@ constexpr double kSingularTol = 1e-11;
 /// (mirrors the dense solver's phase-1 threshold).
 constexpr double kInfeasibleTol = 1e-6;
 
-}  // namespace
-
-/// The immutable half of a revised-simplex instance: sparse structural
-/// columns (CSC), objective, right-hand sides and the model's original
-/// bounds (structural columns first, then one logical per row).
-struct SharedCscModel {
-  int n = 0;      ///< structural columns
-  int m = 0;      ///< rows (= logical columns)
-  int total = 0;  ///< n + m
-  std::vector<int> col_start;
-  std::vector<int> row_idx;
-  std::vector<double> val;
-  std::vector<double> cost;        ///< size total (logicals cost 0)
-  std::vector<double> b;           ///< row right-hand sides
-  std::vector<double> base_lower;  ///< size total, includes logical bounds
-  std::vector<double> base_upper;
-};
-
-namespace {
-
-std::shared_ptr<const SharedCscModel> build_csc(const LpModel& model) {
-  auto csc = std::make_shared<SharedCscModel>();
-  const int n = csc->n = model.variable_count();
-  const int m = csc->m = model.constraint_count();
-  const int total = csc->total = n + m;
-  csc->base_lower.resize(static_cast<std::size_t>(total));
-  csc->base_upper.resize(static_cast<std::size_t>(total));
-  csc->cost.assign(static_cast<std::size_t>(total), 0.0);
-  for (Col c = 0; c < n; ++c) {
-    csc->base_lower[static_cast<std::size_t>(c)] = model.lower_bound(c);
-    csc->base_upper[static_cast<std::size_t>(c)] = model.upper_bound(c);
-    csc->cost[static_cast<std::size_t>(c)] = model.objective_coefficient(c);
-  }
-  csc->b.resize(static_cast<std::size_t>(m));
-  for (Row r = 0; r < m; ++r) {
-    csc->b[static_cast<std::size_t>(r)] = model.row_rhs(r);
-    const std::size_t logical = static_cast<std::size_t>(n + r);
-    switch (model.row_sense(r)) {
-      case RowSense::LessEqual:
-        csc->base_lower[logical] = 0.0;
-        csc->base_upper[logical] = kInfinity;
-        break;
-      case RowSense::GreaterEqual:
-        csc->base_lower[logical] = -kInfinity;
-        csc->base_upper[logical] = 0.0;
-        break;
-      case RowSense::Equal:
-        csc->base_lower[logical] = 0.0;
-        csc->base_upper[logical] = 0.0;
-        break;
-    }
-  }
-  // CSC of the structural columns (the model stores rows).
-  std::vector<int> counts(static_cast<std::size_t>(n), 0);
-  for (Row r = 0; r < m; ++r) {
-    for (const auto& [col, coef] : model.row_terms(r)) {
-      if (coef != 0.0) {
-        ++counts[static_cast<std::size_t>(col)];
-      }
-    }
-  }
-  csc->col_start.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (Col c = 0; c < n; ++c) {
-    csc->col_start[static_cast<std::size_t>(c) + 1] =
-        csc->col_start[static_cast<std::size_t>(c)] + counts[static_cast<std::size_t>(c)];
-  }
-  csc->row_idx.resize(static_cast<std::size_t>(csc->col_start.back()));
-  csc->val.resize(csc->row_idx.size());
-  std::vector<int> fill(csc->col_start.begin(), csc->col_start.end() - 1);
-  for (Row r = 0; r < m; ++r) {
-    for (const auto& [col, coef] : model.row_terms(r)) {
-      if (coef == 0.0) {
-        continue;
-      }
-      const int slot = fill[static_cast<std::size_t>(col)]++;
-      csc->row_idx[static_cast<std::size_t>(slot)] = r;
-      csc->val[static_cast<std::size_t>(slot)] = coef;
-    }
-  }
-  return csc;
-}
+/// Feasibility / pricing tolerance.
+constexpr double kTolerance = 1e-7;
+/// Refactorize the basis after this many eta updates.
+constexpr int kRefactorInterval = 64;
 
 }  // namespace
 
 class RevisedSimplex::Impl {
  public:
-  Impl(std::shared_ptr<const SharedCscModel> shared, const SimplexOptions& options)
-      : shared_(std::move(shared)),
-        col_start_(shared_->col_start),
-        row_idx_(shared_->row_idx),
-        val_(shared_->val),
-        cost_(shared_->cost),
-        b_(shared_->b),
-        n_(shared_->n),
-        m_(shared_->m),
-        total_(shared_->total),
-        eps_(options.tolerance),
-        refactor_interval_(std::max(4, options.refactor_interval)),
-        lower_(shared_->base_lower),
-        upper_(shared_->base_upper) {
-    max_iterations_ = options.max_iterations > 0 ? options.max_iterations
-                                                 : 200 * (m_ + total_) + 10000;
+  explicit Impl(const LpModel& model)
+      : n_(model.variable_count()),
+        m_(model.constraint_count()),
+        total_(n_ + m_),
+        max_iterations_(200 * (m_ + total_) + 10000) {
+    lower_.resize(static_cast<std::size_t>(total_));
+    upper_.resize(static_cast<std::size_t>(total_));
+    cost_.assign(static_cast<std::size_t>(total_), 0.0);
+    for (Col c = 0; c < n_; ++c) {
+      lower_[static_cast<std::size_t>(c)] = model.lower_bound(c);
+      upper_[static_cast<std::size_t>(c)] = model.upper_bound(c);
+      cost_[static_cast<std::size_t>(c)] = model.objective_coefficient(c);
+    }
+    b_.resize(static_cast<std::size_t>(m_));
+    for (Row r = 0; r < m_; ++r) {
+      b_[static_cast<std::size_t>(r)] = model.row_rhs(r);
+      const std::size_t logical = static_cast<std::size_t>(n_ + r);
+      switch (model.row_sense(r)) {
+        case RowSense::LessEqual:
+          lower_[logical] = 0.0;
+          upper_[logical] = kInfinity;
+          break;
+        case RowSense::GreaterEqual:
+          lower_[logical] = -kInfinity;
+          upper_[logical] = 0.0;
+          break;
+        case RowSense::Equal:
+          lower_[logical] = 0.0;
+          upper_[logical] = 0.0;
+          break;
+      }
+    }
+    // CSC of the structural columns (the model stores rows).
+    std::vector<int> counts(static_cast<std::size_t>(n_), 0);
+    for (Row r = 0; r < m_; ++r) {
+      for (const auto& [col, coef] : model.row_terms(r)) {
+        if (coef != 0.0) {
+          ++counts[static_cast<std::size_t>(col)];
+        }
+      }
+    }
+    col_start_.assign(static_cast<std::size_t>(n_) + 1, 0);
+    for (Col c = 0; c < n_; ++c) {
+      col_start_[static_cast<std::size_t>(c) + 1] =
+          col_start_[static_cast<std::size_t>(c)] + counts[static_cast<std::size_t>(c)];
+    }
+    row_idx_.resize(static_cast<std::size_t>(col_start_.back()));
+    val_.resize(row_idx_.size());
+    std::vector<int> fill(col_start_.begin(), col_start_.end() - 1);
+    for (Row r = 0; r < m_; ++r) {
+      for (const auto& [col, coef] : model.row_terms(r)) {
+        if (coef == 0.0) {
+          continue;
+        }
+        const int slot = fill[static_cast<std::size_t>(col)]++;
+        row_idx_[static_cast<std::size_t>(slot)] = r;
+        val_[static_cast<std::size_t>(slot)] = coef;
+      }
+    }
   }
-
-  Impl(const LpModel& model, const SimplexOptions& options)
-      : Impl(build_csc(model), options) {}
 
   void set_bounds(Col c, double lower, double upper) {
     COHLS_EXPECT(c >= 0 && c < n_, "column index out of range");
@@ -374,7 +337,7 @@ class RevisedSimplex::Impl {
   /// True when the eta file is due for compaction; refactorizes and
   /// recomputes the basic values.
   bool maybe_refactor() {
-    if (static_cast<int>(etas_.size()) < refactor_interval_) {
+    if (static_cast<int>(etas_.size()) < kRefactorInterval) {
       return true;
     }
     if (!refactor()) {
@@ -552,10 +515,10 @@ class RevisedSimplex::Impl {
         const double x = xB_[static_cast<std::size_t>(i)];
         double c = 0.0;
         if (phase1) {
-          if (x < lower_[s] - eps_) {
+          if (x < lower_[s] - kTolerance) {
             c = -1.0;
             infeasibility += lower_[s] - x;
-          } else if (x > upper_[s] + eps_) {
+          } else if (x > upper_[s] + kTolerance) {
             c = 1.0;
             infeasibility += x - upper_[s];
           }
@@ -564,7 +527,7 @@ class RevisedSimplex::Impl {
         }
         y_[static_cast<std::size_t>(i)] = c;
       }
-      if (phase1 && infeasibility <= eps_) {
+      if (phase1 && infeasibility <= kTolerance) {
         return LpStatus::Optimal;  // primal feasible; phase 1 done
       }
       btran(y_);
@@ -572,7 +535,7 @@ class RevisedSimplex::Impl {
       // Pricing over the sparse columns.
       int entering = -1;
       double entering_dir = 1.0;
-      double best_score = eps_;
+      double best_score = kTolerance;
       for (int j = 0; j < total_; ++j) {
         const BasisStatus s = status_[static_cast<std::size_t>(j)];
         if (s == BasisStatus::Basic || is_fixed(j)) {
@@ -618,7 +581,7 @@ class RevisedSimplex::Impl {
         return phase1 ? LpStatus::IterationLimit : LpStatus::Unbounded;
       }
       bump_iterations(phase1);
-      if (ratio.step < eps_) {
+      if (ratio.step < kTolerance) {
         if (++degenerate_streak > 64) {
           bland = true;
         }
@@ -660,12 +623,12 @@ class RevisedSimplex::Impl {
       // The basic variable moves by -alpha per unit step of the entering.
       double limit = kInfinity;
       BasisStatus to = BasisStatus::AtLower;
-      if (phase1 && x < lo - eps_) {
+      if (phase1 && x < lo - kTolerance) {
         if (alpha < 0.0) {
           limit = (lo - x) / (-alpha);  // infeasible-below blocks on re-entry
           to = BasisStatus::AtLower;
         }
-      } else if (phase1 && x > hi + eps_) {
+      } else if (phase1 && x > hi + kTolerance) {
         if (alpha > 0.0) {
           limit = (x - hi) / alpha;
           to = BasisStatus::AtUpper;
@@ -688,12 +651,12 @@ class RevisedSimplex::Impl {
         limit = 0.0;  // numeric safety for slightly drifted basics
       }
       bool take = false;
-      if (limit < best - eps_) {
+      if (limit < best - kTolerance) {
         take = true;
-      } else if (limit <= best + eps_ && out.slot >= 0) {
+      } else if (limit <= best + kTolerance && out.slot >= 0) {
         take = bland ? bcol < basic_[static_cast<std::size_t>(out.slot)]
                      : std::abs(alpha) > best_pivot_mag;
-      } else if (limit <= best + eps_ && out.slot < 0 && limit <= best) {
+      } else if (limit <= best + kTolerance && out.slot < 0 && limit <= best) {
         take = true;
       }
       if (take) {
@@ -747,7 +710,7 @@ class RevisedSimplex::Impl {
           cost_[static_cast<std::size_t>(basic_[static_cast<std::size_t>(i)])];
     }
     btran(y_);
-    const double tol = 16.0 * eps_;
+    const double tol = 16.0 * kTolerance;
     for (int j = 0; j < total_; ++j) {
       const BasisStatus s = status_[static_cast<std::size_t>(j)];
       if (s == BasisStatus::Basic || is_fixed(j)) {
@@ -790,17 +753,17 @@ class RevisedSimplex::Impl {
       }
       // Leaving variable: the worst primal bound violation.
       int slot = -1;
-      double worst = eps_;
+      double worst = kTolerance;
       bool above = false;
       for (int i = 0; i < m_; ++i) {
         const std::size_t bs =
             static_cast<std::size_t>(basic_[static_cast<std::size_t>(i)]);
         const double x = xB_[static_cast<std::size_t>(i)];
-        if (x < lower_[bs] - eps_ && lower_[bs] - x > worst) {
+        if (x < lower_[bs] - kTolerance && lower_[bs] - x > worst) {
           worst = lower_[bs] - x;
           slot = i;
           above = false;
-        } else if (x > upper_[bs] + eps_ && x - upper_[bs] > worst) {
+        } else if (x > upper_[bs] + kTolerance && x - upper_[bs] > worst) {
           worst = x - upper_[bs];
           slot = i;
           above = true;
@@ -861,7 +824,7 @@ class RevisedSimplex::Impl {
         }
         const double d = cost_[static_cast<std::size_t>(j)] - column_dot(j, y_);
         const double r = std::max(0.0, dual_ratio(s, d, sigma));
-        if (r <= min_ratio + eps_ && std::abs(alpha) > best_mag) {
+        if (r <= min_ratio + kTolerance && std::abs(alpha) > best_mag) {
           best_mag = std::abs(alpha);
           entering = j;
         }
@@ -993,27 +956,25 @@ class RevisedSimplex::Impl {
 
   // --- data -----------------------------------------------------------------
 
-  // Immutable model view. `shared_` owns it; the references alias into it so the algorithm code
-  // reads the matrix under the same names it always did. Logical column
-  // n_ + r is the implicit unit column of row r.
-  std::shared_ptr<const SharedCscModel> shared_;
-  const std::vector<int>& col_start_;
-  const std::vector<int>& row_idx_;
-  const std::vector<double>& val_;
-  const std::vector<double>& cost_;
-  const std::vector<double>& b_;
+  // The model: CSC structural columns, objective (logicals cost 0) and row
+  // right-hand sides; fixed after construction. Logical column n_ + r is
+  // the implicit unit column of row r.
+  std::vector<int> col_start_;
+  std::vector<int> row_idx_;
+  std::vector<double> val_;
+  std::vector<double> cost_;
+  std::vector<double> b_;
   const int n_;      ///< structural columns
   const int m_;      ///< rows (= logical columns)
   const int total_;  ///< n_ + m_
-  const double eps_;
-  const int refactor_interval_;
-  int max_iterations_;
+  const int max_iterations_;
 
   /// Dual-solve objective cutoff; +infinity disables (see the public doc).
   double cutoff_ = kInfinity;
 
-  // Mutable per-workspace bounds (branch and bound overrides them between
-  // solves); start as a copy of the shared model's originals.
+  // Current bounds, structural columns first, then one logical per row.
+  // They start as the model's; branch and bound overrides the structural
+  // ones between solves.
   std::vector<double> lower_;
   std::vector<double> upper_;
 
@@ -1041,8 +1002,8 @@ class RevisedSimplex::Impl {
   std::vector<double> w_;
 };
 
-RevisedSimplex::RevisedSimplex(const LpModel& model, const SimplexOptions& options)
-    : impl_(std::make_unique<Impl>(model, options)) {}
+RevisedSimplex::RevisedSimplex(const LpModel& model)
+    : impl_(std::make_unique<Impl>(model)) {}
 RevisedSimplex::~RevisedSimplex() = default;
 RevisedSimplex::RevisedSimplex(RevisedSimplex&&) noexcept = default;
 RevisedSimplex& RevisedSimplex::operator=(RevisedSimplex&&) noexcept = default;
@@ -1067,17 +1028,5 @@ LpSolution RevisedSimplex::solve_from(const Basis& start) {
 const Basis& RevisedSimplex::basis() const { return impl_->basis(); }
 const SolveStats& RevisedSimplex::last_stats() const { return impl_->last_stats(); }
 const SolveStats& RevisedSimplex::total_stats() const { return impl_->total_stats(); }
-
-LpSolution solve_lp_revised(const LpModel& model, const SimplexOptions& options) {
-  for (Col c = 0; c < model.variable_count(); ++c) {
-    if (model.lower_bound(c) > model.upper_bound(c)) {
-      LpSolution solution;
-      solution.status = LpStatus::Infeasible;
-      return solution;
-    }
-  }
-  RevisedSimplex solver(model, options);
-  return solver.solve();
-}
 
 }  // namespace cohls::lp

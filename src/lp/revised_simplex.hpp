@@ -1,8 +1,8 @@
 // Sparse revised simplex with native variable bounds. The constraint matrix
 // is stored once in compressed-sparse-column form; the basis inverse is kept
 // as a dense refactorized inverse plus a product-form eta file, refactorized
-// periodically. Compared with the dense tableau (lp/simplex.cpp, kept behind
-// SimplexOptions::algorithm for differential testing) pricing walks sparse
+// periodically. Compared with the dense tableau (lp/simplex.cpp, selected by
+// SimplexAlgorithm::Dense for differential testing) pricing walks sparse
 // columns instead of O(rows x cols) tableau sweeps, and a bounded-variable
 // dual simplex entry point re-solves from a caller-supplied starting basis —
 // the branch-and-bound MILP warm-starts every child node from its parent's
@@ -56,14 +56,9 @@ struct SolveStats {
 /// A reusable revised-simplex instance. The sparse matrix is built once from
 /// the model; variable bounds may then be mutated between solves (branch and
 /// bound tightens one bound per node) without rebuilding anything else.
-///
-/// Internally an instance is split into an immutable model view (CSC
-/// columns, objective, right-hand sides, original bounds) and mutable
-/// per-instance state (current bounds, basis, factorization, eta file,
-/// scratch).
 class RevisedSimplex {
  public:
-  explicit RevisedSimplex(const LpModel& model, const SimplexOptions& options = {});
+  explicit RevisedSimplex(const LpModel& model);
   ~RevisedSimplex();
   RevisedSimplex(RevisedSimplex&&) noexcept;
   RevisedSimplex& operator=(RevisedSimplex&&) noexcept;
@@ -103,9 +98,5 @@ class RevisedSimplex {
   class Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// One-shot convenience mirroring solve_lp, using the revised simplex.
-[[nodiscard]] LpSolution solve_lp_revised(const LpModel& model,
-                                          const SimplexOptions& options = {});
 
 }  // namespace cohls::lp

@@ -21,6 +21,9 @@ std::string to_string(LpStatus status) {
 
 namespace {
 
+/// Feasibility / pricing tolerance.
+constexpr double kTolerance = 1e-7;
+
 // The solver works on a standardized copy of the model:
 //   min c·y   s.t.  A y = b,   0 <= y_j <= ub_j   (ub_j may be +inf)
 // Structural variables are shifted / mirrored / split so every lower bound
@@ -159,19 +162,16 @@ enum class VarStatus : unsigned char { AtLower, AtUpper, Basic };
 // Dense-tableau bounded simplex over the standardized problem.
 class Tableau {
  public:
-  Tableau(const Standardized& problem, const SimplexOptions& options)
+  explicit Tableau(const Standardized& problem)
       : problem_(problem),
-        eps_(options.tolerance),
         m_(problem.num_rows()),
         n_(problem.num_cols()),
+        max_iterations_(200 * (m_ + n_) + 10000),
         tableau_(problem.matrix()),
         upper_(problem.upper()),
         status_(static_cast<std::size_t>(problem.num_cols()), VarStatus::AtLower),
         basis_(static_cast<std::size_t>(problem.num_rows()), -1),
         basic_value_(problem.rhs()) {
-    max_iterations_ = options.max_iterations > 0
-                          ? options.max_iterations
-                          : 200 * (m_ + n_) + 10000;
     for (int r = 0; r < m_; ++r) {
       const int art = problem.first_artificial() + r;
       basis_[static_cast<std::size_t>(r)] = art;
@@ -295,7 +295,7 @@ class Tableau {
         return LpStatus::Unbounded;
       }
       ++iterations_;
-      if (step < eps_) {
+      if (step < kTolerance) {
         if (++degenerate_streak > 64) {
           bland = true;  // anti-cycling
         }
@@ -331,7 +331,7 @@ class Tableau {
 
   int choose_entering(bool bland) const {
     int best = -1;
-    double best_score = eps_;
+    double best_score = kTolerance;
     for (int c = 0; c < n_; ++c) {
       const VarStatus s = status_[static_cast<std::size_t>(c)];
       if (s == VarStatus::Basic) {
@@ -363,7 +363,7 @@ class Tableau {
     for (int r = 0; r < m_; ++r) {
       const double a =
           direction * tableau_[static_cast<std::size_t>(r)][static_cast<std::size_t>(entering)];
-      if (std::abs(a) <= eps_) {
+      if (std::abs(a) <= kTolerance) {
         continue;
       }
       const int b = basis_[static_cast<std::size_t>(r)];
@@ -385,9 +385,9 @@ class Tableau {
         limit = 0.0;  // numeric safety for slightly drifted basics
       }
       bool take = false;
-      if (limit < best - eps_) {
+      if (limit < best - kTolerance) {
         take = true;  // strictly tighter blocking bound
-      } else if (limit <= best + eps_ && leaving_row >= 0) {
+      } else if (limit <= best + kTolerance && leaving_row >= 0) {
         // Tie between blocking rows: prefer the numerically largest pivot,
         // or the smallest basis index under Bland's rule.
         take = bland ? b < basis_[static_cast<std::size_t>(leaving_row)]
@@ -498,10 +498,9 @@ class Tableau {
   }
 
   const Standardized& problem_;
-  const double eps_;
   const int m_;
   const int n_;
-  int max_iterations_;
+  const int max_iterations_;
   int iterations_ = 0;
   std::vector<std::vector<double>> tableau_;
   std::vector<double> upper_;
@@ -513,10 +512,7 @@ class Tableau {
 
 }  // namespace
 
-LpSolution solve_lp(const LpModel& model, const SimplexOptions& options) {
-  if (options.algorithm == SimplexAlgorithm::Revised) {
-    return solve_lp_revised(model, options);
-  }
+LpSolution solve_lp(const LpModel& model, SimplexAlgorithm algorithm) {
   LpSolution solution;
   // Reject trivially inconsistent fixed bounds early.
   for (Col c = 0; c < model.variable_count(); ++c) {
@@ -525,8 +521,11 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options) {
       return solution;
     }
   }
+  if (algorithm == SimplexAlgorithm::Revised) {
+    return RevisedSimplex(model).solve();
+  }
   Standardized standardized(model);
-  Tableau tableau(standardized, options);
+  Tableau tableau(standardized);
   solution.status = tableau.run(solution);
   if (solution.status == LpStatus::Optimal) {
     solution.objective = model.objective_value(solution.values);

@@ -1,4 +1,4 @@
-// LP solve entry point and options. Two implementations share this
+// LP solve entry point. Two implementations share this
 // interface: the sparse revised simplex (lp/revised_simplex.hpp, the
 // default) and the original dense-tableau two-phase primal simplex kept in
 // lp/simplex.cpp for differential testing. Both support native variable
@@ -45,19 +45,9 @@ enum class SimplexAlgorithm {
   Dense,
 };
 
-struct SimplexOptions {
-  /// Hard cap on pivots across both phases; 0 means "derived from size".
-  int max_iterations = 0;
-  /// Feasibility / pricing tolerance.
-  double tolerance = 1e-7;
-  /// Which implementation solve_lp dispatches to.
-  SimplexAlgorithm algorithm = SimplexAlgorithm::Revised;
-  /// Refactorize the basis after this many eta updates (revised only).
-  int refactor_interval = 64;
-};
-
 /// Solves `model` (a minimization) with the bounded-variable simplex
-/// selected by `options.algorithm`.
-[[nodiscard]] LpSolution solve_lp(const LpModel& model, const SimplexOptions& options = {});
+/// implementation `algorithm`.
+[[nodiscard]] LpSolution solve_lp(const LpModel& model,
+                                  SimplexAlgorithm algorithm = SimplexAlgorithm::Revised);
 
 }  // namespace cohls::lp

@@ -31,6 +31,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// A column value within this distance of an integer counts as integral.
+constexpr double kIntegralityTolerance = 1e-6;
+/// A node is pruned when its bound is within this absolute gap of the
+/// incumbent.
+constexpr double kAbsoluteGap = 1e-6;
 /// Feasibility tolerance for integral node relaxations and dive results
 /// offered as incumbents.
 constexpr double kIncumbentTolerance = 1e-5;
@@ -88,7 +93,7 @@ struct Workspace {
   std::vector<double> orig_upper;
 
   /// Pseudocost history (objective degradation per unit of fractionality,
-  /// by branching side); empty unless pseudocost branching is selected.
+  /// by branching side).
   std::vector<double> pc_down_sum;
   std::vector<double> pc_up_sum;
   std::vector<long> pc_down_count;
@@ -139,7 +144,7 @@ class Solver {
       Node node = std::move(stack.back());
       stack.pop_back();
       if (has_incumbent_ &&
-          node.parent_bound >= incumbent_value_ - options_.absolute_gap) {
+          node.parent_bound >= incumbent_value_ - kAbsoluteGap) {
         continue;  // cannot improve on the incumbent
       }
 
@@ -158,7 +163,7 @@ class Solver {
         undo_path();
         continue;
       }
-      if (has_incumbent_ && comb >= incumbent_value_ - options_.absolute_gap) {
+      if (has_incumbent_ && comb >= incumbent_value_ - kAbsoluteGap) {
         ++bound_prunes_;
         undo_path();
         continue;
@@ -204,7 +209,7 @@ class Solver {
       if (at_root) {
         global_bound = std::max(global_bound, bound);
       }
-      if (has_incumbent_ && bound >= incumbent_value_ - options_.absolute_gap) {
+      if (has_incumbent_ && bound >= incumbent_value_ - kAbsoluteGap) {
         undo_path();
         continue;
       }
@@ -217,7 +222,7 @@ class Solver {
         continue;
       }
       if (options_.enable_rounding_heuristic) {
-        offer_incumbent(relax.values, options_.integrality_tolerance);
+        offer_incumbent(relax.values, kIntegralityTolerance);
       }
 
       // Children re-solve from this node's optimal basis with the dual
@@ -229,7 +234,7 @@ class Solver {
       }
       if (at_root && options_.dive && use_revised_) {
         run_root_dive(relax);
-        if (has_incumbent_ && bound >= incumbent_value_ - options_.absolute_gap) {
+        if (has_incumbent_ && bound >= incumbent_value_ - kAbsoluteGap) {
           undo_path();
           continue;  // the dive's incumbent already matches the root bound
         }
@@ -285,7 +290,7 @@ class Solver {
     // re-solves can recoup; below the threshold the solver skips presolve and
     // the persistent workspace and gives every node a one-shot cold solve,
     // which has the lowest constant factor at this scale.
-    use_revised_ = options_.simplex.algorithm == lp::SimplexAlgorithm::Revised;
+    use_revised_ = options_.simplex == lp::SimplexAlgorithm::Revised;
     bool cold_fallback = false;
     if (use_revised_ && options_.cold_solve_threshold > 0 &&
         model_.variable_count() + model_.constraint_count() <=
@@ -303,7 +308,7 @@ class Solver {
           continue;
         }
         const double v = pre_->fixed_value(c);
-        if (std::abs(v - std::round(v)) > options_.integrality_tolerance) {
+        if (std::abs(v - std::round(v)) > kIntegralityTolerance) {
           return false;  // integer column pinned to a fractional value
         }
       }
@@ -352,12 +357,10 @@ class Solver {
     // Two solves per dive level (fix + one backtrack flip), depth at most
     // the integer-column count, plus slack for re-fractionalizations.
     dive_budget_ = 2 * integer_columns + 8;
-    if (options_.branching == BranchingRule::Pseudocost) {
-      ws_.pc_down_sum.assign(static_cast<std::size_t>(n), 0.0);
-      ws_.pc_up_sum.assign(static_cast<std::size_t>(n), 0.0);
-      ws_.pc_down_count.assign(static_cast<std::size_t>(n), 0);
-      ws_.pc_up_count.assign(static_cast<std::size_t>(n), 0);
-    }
+    ws_.pc_down_sum.assign(static_cast<std::size_t>(n), 0.0);
+    ws_.pc_up_sum.assign(static_cast<std::size_t>(n), 0.0);
+    ws_.pc_down_count.assign(static_cast<std::size_t>(n), 0);
+    ws_.pc_up_count.assign(static_cast<std::size_t>(n), 0);
     if (options_.bounds != nullptr) {
       const std::size_t on = static_cast<std::size_t>(model_.variable_count());
       ws_.orig_lower.resize(on);
@@ -376,7 +379,7 @@ class Solver {
     }
 
     if (use_revised_) {
-      ws_.revised.emplace(reduced_.lp(), options_.simplex);
+      ws_.revised.emplace(reduced_.lp());
     } else {
       ws_.scratch = reduced_.lp();
     }
@@ -390,7 +393,7 @@ class Solver {
     }
     COHLS_EXPECT(static_cast<int>(options_.warm_start->size()) == model_.variable_count(),
                  "warm start arity must match the model");
-    if (!model_.is_feasible(*options_.warm_start, options_.integrality_tolerance)) {
+    if (!model_.is_feasible(*options_.warm_start, kIntegralityTolerance)) {
       return;
     }
     std::vector<double> mapped(static_cast<std::size_t>(reduced_.variable_count()));
@@ -405,7 +408,7 @@ class Solver {
     } else {
       mapped = *options_.warm_start;
     }
-    if (reduced_.is_feasible(mapped, options_.integrality_tolerance)) {
+    if (reduced_.is_feasible(mapped, kIntegralityTolerance)) {
       incumbent_ = std::move(mapped);
       incumbent_value_ = reduced_.lp().objective_value(incumbent_);
       has_incumbent_ = true;
@@ -511,21 +514,19 @@ class Solver {
       return;
     }
     const double cutoff = at_root ? std::numeric_limits<double>::infinity()
-                                  : incumbent_value - options_.absolute_gap;
+                                  : incumbent_value - kAbsoluteGap;
     ws_.revised->set_objective_cutoff(cutoff);
   }
 
-  /// Variable selection. Pseudocost mode scores a fractional column by the
+  /// Variable selection by pseudocost: a fractional column scores the
   /// product of its estimated up/down bound degradations; a column with no
   /// history on either side is "unreliable" and the rule falls back to
   /// most-fractional among the unreliable ones, which is exactly what
-  /// initializes the pseudocosts. Returns -1 when the point is integral.
+  /// initializes the pseudocosts. History is kept per solve, so a solve is
+  /// bit-reproducible. Returns -1 when the point is integral.
   int select_branch(const std::vector<double>& x) const {
-    if (options_.branching != BranchingRule::Pseudocost || ws_.pc_down_sum.empty()) {
-      return most_fractional(x);
-    }
     int best_unreliable = -1;
-    double best_unreliable_frac = options_.integrality_tolerance;
+    double best_unreliable_frac = kIntegralityTolerance;
     int best_reliable = -1;
     double best_score = -1.0;
     for (lp::Col c = 0; c < reduced_.variable_count(); ++c) {
@@ -535,7 +536,7 @@ class Solver {
       const std::size_t j = static_cast<std::size_t>(c);
       const double v = x[j];
       const double frac = std::abs(v - std::round(v));
-      if (frac <= options_.integrality_tolerance) {
+      if (frac <= kIntegralityTolerance) {
         continue;
       }
       const double f = v - std::floor(v);
@@ -562,8 +563,7 @@ class Solver {
   /// Records the observed bound degradation of a child relative to its
   /// parent, normalized per unit of fractionality, on the branched column.
   void update_pseudocost(const Node& node, double child_bound) {
-    if (options_.branching != BranchingRule::Pseudocost || ws_.pc_down_sum.empty() ||
-        node.branch_col < 0 || node.parent_bound <= -MilpSolution::kBigBound) {
+    if (node.branch_col < 0 || node.parent_bound <= -MilpSolution::kBigBound) {
       return;
     }
     const double denom = node.branch_up ? 1.0 - node.branch_frac : node.branch_frac;
@@ -605,7 +605,7 @@ class Solver {
     };
     const DiveResult result =
         dive_for_incumbent(reduced_, hooks, root_relax,
-                           options_.integrality_tolerance,
+                           kIntegralityTolerance,
                            /*feasibility_tolerance=*/kIncumbentTolerance, dive_budget_);
     for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
       set_node_bounds(it->col, it->lower, it->upper);
@@ -615,23 +615,6 @@ class Solver {
     if (result.found) {
       offer_incumbent(result.values, kIncumbentTolerance);
     }
-  }
-
-  int most_fractional(const std::vector<double>& x) const {
-    int best = -1;
-    double best_score = options_.integrality_tolerance;
-    for (lp::Col c = 0; c < reduced_.variable_count(); ++c) {
-      if (!reduced_.is_integer(c)) {
-        continue;
-      }
-      const double v = x[static_cast<std::size_t>(c)];
-      const double frac = std::abs(v - std::round(v));
-      if (frac > best_score) {
-        best_score = frac;
-        best = c;
-      }
-    }
-    return best;
   }
 
   /// Snaps the integer columns of `x` and installs the point as the

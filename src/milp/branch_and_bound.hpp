@@ -26,19 +26,6 @@ enum class MilpStatus {
 
 [[nodiscard]] std::string to_string(MilpStatus status);
 
-enum class BranchingRule {
-  /// Branch on the integer column whose relaxation value is farthest from
-  /// integral. The exact historical rule; cheap and deterministic.
-  MostFractional,
-  /// Pseudocost branching with a reliability fallback: while a column has no
-  /// observed branching history on one of its sides, it is scored by its
-  /// fractionality (so the first descents behave like most-fractional and
-  /// *initialize* the pseudocosts); once both sides are reliable the column
-  /// with the best product of estimated bound degradations wins. History is
-  /// kept per solve, so a solve is bit-reproducible.
-  Pseudocost,
-};
-
 struct MilpOptions {
   /// Maximum branch-and-bound nodes (LP solves); <= 0 means unlimited.
   long max_nodes = 200000;
@@ -57,19 +44,15 @@ struct MilpOptions {
   int cold_solve_threshold = 32;
   /// Wall-clock budget in seconds; <= 0 means unlimited.
   double time_limit_seconds = 30.0;
-  /// Integrality tolerance.
-  double integrality_tolerance = 1e-6;
-  /// Stop when incumbent is within this absolute gap of the best bound.
-  double absolute_gap = 1e-6;
   /// Optional known-feasible point used as the initial incumbent.
   std::optional<std::vector<double>> warm_start;
   /// Try rounding fractional LP relaxations into incumbents.
   bool enable_rounding_heuristic = true;
-  /// LP solver configuration for node relaxations. With the (default)
-  /// Revised algorithm, child nodes re-solve with the dual simplex from
-  /// their parent's optimal basis; the Dense algorithm solves every node
-  /// cold and exists for differential testing.
-  lp::SimplexOptions simplex{};
+  /// LP solver for node relaxations. With the (default) Revised algorithm,
+  /// child nodes re-solve with the dual simplex from their parent's optimal
+  /// basis; the Dense algorithm solves every node cold and exists for
+  /// differential testing.
+  lp::SimplexAlgorithm simplex = lp::SimplexAlgorithm::Revised;
   /// Run lp::presolve once at the root (fixed-column elimination, empty and
   /// singleton rows) and branch in the reduced space.
   bool presolve = true;
@@ -85,8 +68,6 @@ struct MilpOptions {
   /// feasible incumbent the search can prune against from node 2. Dive LP
   /// solves are *not* charged against max_nodes.
   bool dive = true;
-  /// Variable-selection rule at branch time.
-  BranchingRule branching = BranchingRule::Pseudocost;
   /// Cooperative cancellation: polled between nodes. A cancelled solve
   /// returns like a limit-hit one (Feasible with the incumbent so far, or
   /// NoSolution) with `cancelled` set in the solution.

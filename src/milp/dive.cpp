@@ -34,7 +34,7 @@ int least_fractional(const MilpModel& model, const std::vector<double>& x,
 
 DiveResult dive_for_incumbent(const MilpModel& model, const DiveHooks& hooks,
                               const lp::LpSolution& root_relax,
-                              double integrality_tolerance,
+                              double integer_tolerance,
                               double feasibility_tolerance, long max_lp_solves) {
   COHLS_EXPECT(hooks.resolve && hooks.set_bounds && hooks.lower != nullptr &&
                    hooks.upper != nullptr,
@@ -45,7 +45,7 @@ DiveResult dive_for_incumbent(const MilpModel& model, const DiveHooks& hooks,
   }
   lp::LpSolution relax = root_relax;
   while (true) {
-    const int col = least_fractional(model, relax.values, integrality_tolerance);
+    const int col = least_fractional(model, relax.values, integer_tolerance);
     if (col < 0) {
       // Integral: snap and validate before claiming an incumbent.
       std::vector<double> snapped = relax.values;

@@ -50,7 +50,7 @@ struct DiveHooks {
 [[nodiscard]] DiveResult dive_for_incumbent(const MilpModel& model,
                                             const DiveHooks& hooks,
                                             const lp::LpSolution& root_relax,
-                                            double integrality_tolerance,
+                                            double integer_tolerance,
                                             double feasibility_tolerance,
                                             long max_lp_solves);
 

@@ -20,6 +20,9 @@ constexpr std::uint64_t kAttemptStreamTag = 0x415454454D505453ULL;  // "ATTEMPTS
 /// never "affected" during replay.
 constexpr Minutes kNoHorizon{std::numeric_limits<std::int64_t>::max()};
 
+/// Equal-width buckets of the completion-time histogram.
+constexpr std::int64_t kHistogramBuckets = 16;
+
 /// Latest minute a sampled failure can still matter. Without scripted
 /// degradation or transport delays no replay outlives the schedule's
 /// attempt-capped worst case, so failures sampled past it are provably
@@ -80,12 +83,6 @@ void simulate_chunk(const CompiledSchedule& compiled,
         record.recovery_attempted = true;
         record.recovered = record.mission.recovered;
       }
-    } else if (options.recover) {
-      const RunTrace trace = replayer.run(compiled, run_options, &summary);
-      if (!trace.ok()) {
-        record.recovery_attempted = true;
-        record.recovered = options.recover(trace);
-      }
     } else {
       summary = replayer.run_summary(compiled, run_options);
     }
@@ -97,7 +94,7 @@ void simulate_chunk(const CompiledSchedule& compiled,
   wheel_stats = replayer.wheel_stats();
 }
 
-FleetSummary reduce(const std::vector<RunRecord>& records, const FleetOptions& options) {
+FleetSummary reduce(const std::vector<RunRecord>& records) {
   FleetSummary summary;
   summary.runs = static_cast<int>(records.size());
 
@@ -154,7 +151,7 @@ FleetSummary reduce(const std::vector<RunRecord>& records, const FleetOptions& o
           ? static_cast<double>(summary.recovered) / summary.recovery_attempts
           : 0.0;
 
-  if (summary.completed > 0 && options.histogram_buckets > 0) {
+  if (summary.completed > 0) {
     Minutes lo = kNoHorizon;
     Minutes hi{std::numeric_limits<std::int64_t>::min()};
     for (const RunRecord& record : records) {
@@ -168,9 +165,8 @@ FleetSummary reduce(const std::vector<RunRecord>& records, const FleetOptions& o
     summary.histogram_max = hi;
     const std::int64_t span = hi.count() - lo.count() + 1;
     const std::int64_t width =
-        (span + options.histogram_buckets - 1) / options.histogram_buckets;
-    summary.completion_histogram.assign(
-        static_cast<std::size_t>(options.histogram_buckets), 0);
+        (span + kHistogramBuckets - 1) / kHistogramBuckets;
+    summary.completion_histogram.assign(static_cast<std::size_t>(kHistogramBuckets), 0);
     for (const RunRecord& record : records) {
       if (record.outcome != RunOutcome::Completed) {
         continue;
@@ -188,7 +184,6 @@ FleetSummary run_fleet(const CompiledSchedule& compiled,
                        const model::DeviceInventory& devices,
                        const FleetOptions& options) {
   COHLS_EXPECT(options.runs >= 0, "fleet size must be non-negative");
-  COHLS_EXPECT(options.histogram_buckets >= 1, "histogram needs at least one bucket");
 
   std::vector<RunRecord> records(static_cast<std::size_t>(options.runs));
   const int jobs = std::clamp(options.jobs, 1, std::max(options.runs, 1));
@@ -196,7 +191,7 @@ FleetSummary run_fleet(const CompiledSchedule& compiled,
   if (jobs <= 1) {
     EventWheel::Stats stats;
     simulate_chunk(compiled, devices, options, 0, options.runs, records, stats);
-    FleetSummary summary = reduce(records, options);
+    FleetSummary summary = reduce(records);
     summary.wheel = stats;
     return summary;
   }
@@ -225,7 +220,7 @@ FleetSummary run_fleet(const CompiledSchedule& compiled,
     }
   }
 
-  FleetSummary summary = reduce(records, options);
+  FleetSummary summary = reduce(records);
   for (const EventWheel::Stats& stats : worker_stats) {
     summary.wheel.merge(stats);
   }

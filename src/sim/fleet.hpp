@@ -39,12 +39,8 @@ struct FleetOptions {
   /// hazard-sampled failures appended.
   RuntimeOptions runtime;
   HazardModel hazard;
-  /// Optional recovery probe, called with the trace of every broken run;
-  /// returns whether recovery (e.g. core re-synthesis of the residual
-  /// assay) succeeded. Must be thread-safe and deterministic in the trace.
-  std::function<bool(const RunTrace&)> recover;
-  /// Optional multi-fault mission probe; takes precedence over `recover`.
-  /// Called for every broken run with the trace, the run's replay options
+  /// Optional multi-fault mission probe (see core::run_mission). Called for
+  /// every broken run with the trace, the run's replay options
   /// restricted to the *scripted* fault prefix (the mission re-samples the
   /// hazard model per round with the same (seed, run) streams and its own
   /// per-round horizons), and the run index. Must be thread-safe and
@@ -52,8 +48,6 @@ struct FleetOptions {
   /// across worker counts.
   std::function<MissionReport(const RunTrace&, const RuntimeOptions&, std::uint64_t)>
       mission;
-  /// Buckets of the completion-time histogram.
-  int histogram_buckets = 16;
 };
 
 struct FleetSummary {
@@ -71,8 +65,8 @@ struct FleetSummary {
   double mttf_minutes = 0.0;
   /// Mean realized completion time of completed runs; 0 when none completed.
   double mean_completion_minutes = 0.0;
-  /// Completion-time histogram over completed runs: `histogram_buckets`
-  /// equal-width buckets spanning [histogram_min, histogram_max].
+  /// Completion-time histogram over completed runs: 16 equal-width buckets
+  /// spanning [histogram_min, histogram_max].
   Minutes histogram_min{0};
   Minutes histogram_max{0};
   std::vector<int> completion_histogram;

@@ -42,7 +42,7 @@ SynthesisOptions ablation_d_options(lp::SimplexAlgorithm algorithm, bool presolv
   // deterministic regardless of machine load.
   options.engine.milp.time_limit_seconds = 0.0;
   options.engine.milp.max_nodes = 20000;
-  options.engine.milp.simplex.algorithm = algorithm;
+  options.engine.milp.simplex = algorithm;
   options.engine.milp.presolve = presolve;
   options.max_resynthesis_iterations = 1;
   options.observer = observer;
@@ -69,13 +69,13 @@ TEST(SolverParity, RevisedAndDenseAgreeOnAblationDAssays) {
         assay, ablation_d_options(lp::SimplexAlgorithm::Dense, false, &dense_stats));
 
     const auto revised_violations =
-        schedule::validate_result(revised.result, assay, revised.transport);
+        schedule::certify_result(revised.result, assay, revised.transport);
     ASSERT_TRUE(revised_violations.empty())
-        << "seed " << seed << ": " << revised_violations.front();
+        << "seed " << seed << ": " << diag::summary_line(revised_violations.front());
     const auto dense_violations =
-        schedule::validate_result(dense.result, assay, dense.transport);
+        schedule::certify_result(dense.result, assay, dense.transport);
     ASSERT_TRUE(dense_violations.empty())
-        << "seed " << seed << ": " << dense_violations.front();
+        << "seed " << seed << ": " << diag::summary_line(dense_violations.front());
 
     const double revised_objective =
         revised.iterations.back().objective.weighted_total;

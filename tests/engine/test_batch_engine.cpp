@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "assays/benchmarks.hpp"
+#include "assays/random_assay.hpp"
 #include "io/assay_text.hpp"
 
 namespace cohls::engine {
@@ -239,6 +240,45 @@ TEST(BatchEngine, MetricsCoverSolvesAndJobs) {
 
   const std::string report = engine.report();
   EXPECT_NE(report.find("layer cache:"), std::string::npos);
+}
+
+TEST(BatchEngine, WallClockMilpBudgetsBecomeNodeBudgets) {
+  // Small random assays whose layers reach the MILP. The engine drops the
+  // caller's MILP time limit, so a budget that would stop the search before
+  // its first node and a roomy one explore the same nodes and return the
+  // same results.
+  assays::RandomAssayOptions gen;
+  gen.operations = 4;
+  gen.indeterminate_probability = 0.0;
+  gen.max_parents = 2;
+  const auto run = [&gen](double time_limit_seconds, std::int64_t& milp_nodes) {
+    std::vector<BatchJob> jobs;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      BatchJob job = text_job("seed" + std::to_string(seed),
+                              assays::random_assay(seed * 101, gen));
+      job.options.max_devices = 4;
+      job.options.engine.enable_ilp = true;
+      job.options.engine.ilp_max_ops = 6;
+      job.options.engine.ilp_max_devices = 6;
+      job.options.engine.milp.time_limit_seconds = time_limit_seconds;
+      jobs.push_back(std::move(job));
+    }
+    BatchEngine engine{BatchOptions{}};
+    std::vector<BatchResult> rows = engine.run(jobs);
+    milp_nodes = engine.metrics().counter("milp_nodes").value();
+    return rows;
+  };
+  std::int64_t tiny_nodes = 0;
+  std::int64_t roomy_nodes = 0;
+  const std::vector<BatchResult> tiny = run(1e-9, tiny_nodes);
+  const std::vector<BatchResult> roomy = run(30.0, roomy_nodes);
+  EXPECT_GT(roomy_nodes, 0);
+  EXPECT_EQ(tiny_nodes, roomy_nodes);
+  ASSERT_EQ(tiny.size(), roomy.size());
+  for (std::size_t i = 0; i < tiny.size(); ++i) {
+    EXPECT_EQ(roomy[i].status, JobStatus::Ok) << roomy[i].name << ": " << roomy[i].detail;
+    EXPECT_EQ(tiny[i].result_text, roomy[i].result_text) << tiny[i].name;
+  }
 }
 
 TEST(BatchEngine, ConcurrencySmoke) {

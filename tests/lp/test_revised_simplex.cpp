@@ -52,18 +52,6 @@ LpModel make_random_bounded_lp(std::uint64_t seed, int max_vars = 8, int max_row
   return model;
 }
 
-SimplexOptions dense_options() {
-  SimplexOptions options;
-  options.algorithm = SimplexAlgorithm::Dense;
-  return options;
-}
-
-SimplexOptions revised_options() {
-  SimplexOptions options;
-  options.algorithm = SimplexAlgorithm::Revised;
-  return options;
-}
-
 // --- differential: dense vs revised on random bounded LPs -------------------
 
 class RevisedVsDense : public ::testing::TestWithParam<int> {};
@@ -71,8 +59,8 @@ class RevisedVsDense : public ::testing::TestWithParam<int> {};
 TEST_P(RevisedVsDense, SameStatusAndObjective) {
   const LpModel model =
       make_random_bounded_lp(static_cast<std::uint64_t>(GetParam()) * 2654435761u + 13);
-  const LpSolution dense = solve_lp(model, dense_options());
-  const LpSolution revised = solve_lp(model, revised_options());
+  const LpSolution dense = solve_lp(model, SimplexAlgorithm::Dense);
+  const LpSolution revised = solve_lp(model, SimplexAlgorithm::Revised);
   ASSERT_NE(dense.status, LpStatus::IterationLimit);
   ASSERT_NE(revised.status, LpStatus::IterationLimit);
   EXPECT_EQ(revised.status, dense.status) << "dense=" << to_string(dense.status)
@@ -93,8 +81,8 @@ TEST_P(RevisedVsDenseLarge, SameStatusAndObjective) {
   const LpModel model = make_random_bounded_lp(
       static_cast<std::uint64_t>(GetParam()) * 40503 + 271, /*max_vars=*/20,
       /*max_rows=*/16);
-  const LpSolution dense = solve_lp(model, dense_options());
-  const LpSolution revised = solve_lp(model, revised_options());
+  const LpSolution dense = solve_lp(model, SimplexAlgorithm::Dense);
+  const LpSolution revised = solve_lp(model, SimplexAlgorithm::Revised);
   ASSERT_NE(dense.status, LpStatus::IterationLimit);
   ASSERT_NE(revised.status, LpStatus::IterationLimit);
   EXPECT_EQ(revised.status, dense.status);
@@ -113,7 +101,7 @@ class WarmStartAfterTightening : public ::testing::TestWithParam<int> {};
 TEST_P(WarmStartAfterTightening, MatchesColdSolve) {
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam()) * 9176 + 5;
   LpModel model = make_random_bounded_lp(seed);
-  RevisedSimplex solver(model, revised_options());
+  RevisedSimplex solver(model);
   const LpSolution first = solver.solve();
   if (first.status != LpStatus::Optimal) {
     return;  // warm starts only make sense off an optimal basis
@@ -142,8 +130,8 @@ TEST_P(WarmStartAfterTightening, MatchesColdSolve) {
   const LpSolution warm = solver.solve_from(basis);
 
   model.set_bounds(c, lo, hi);
-  const LpSolution cold = solve_lp(model, revised_options());
-  const LpSolution cold_dense = solve_lp(model, dense_options());
+  const LpSolution cold = solve_lp(model, SimplexAlgorithm::Revised);
+  const LpSolution cold_dense = solve_lp(model, SimplexAlgorithm::Dense);
 
   ASSERT_NE(warm.status, LpStatus::IterationLimit);
   EXPECT_EQ(warm.status, cold.status);
@@ -162,7 +150,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WarmStartAfterTightening, ::testing::Range(0, 30
 TEST(WarmStart, ChainedTighteningsMatchColdSolves) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     LpModel model = make_random_bounded_lp(seed * 7919 + 3, 10, 8);
-    RevisedSimplex solver(model, revised_options());
+    RevisedSimplex solver(model);
     LpSolution current = solver.solve();
     Rng rng{seed};
     for (int depth = 0; depth < 6 && current.status == LpStatus::Optimal; ++depth) {
@@ -183,7 +171,7 @@ TEST(WarmStart, ChainedTighteningsMatchColdSolves) {
       solver.set_bounds(c, lo, hi);
       model.set_bounds(c, lo, hi);
       current = solver.solve_from(basis);
-      const LpSolution cold = solve_lp(model, dense_options());
+      const LpSolution cold = solve_lp(model, SimplexAlgorithm::Dense);
       ASSERT_NE(current.status, LpStatus::IterationLimit) << "seed " << seed;
       ASSERT_EQ(current.status, cold.status) << "seed " << seed << " depth " << depth;
       if (current.status == LpStatus::Optimal) {
@@ -198,7 +186,7 @@ TEST(WarmStart, ChainedTighteningsMatchColdSolves) {
 
 TEST(RevisedSimplex, EmptyModelIsOptimalAtZero) {
   LpModel model;
-  const LpSolution sol = solve_lp(model, revised_options());
+  const LpSolution sol = solve_lp(model, SimplexAlgorithm::Revised);
   EXPECT_EQ(sol.status, LpStatus::Optimal);
   EXPECT_DOUBLE_EQ(sol.objective, 0.0);
 }
@@ -206,7 +194,7 @@ TEST(RevisedSimplex, EmptyModelIsOptimalAtZero) {
 TEST(RevisedSimplex, UnboundedBelowIsDetected) {
   LpModel model;
   model.add_variable(-kInfinity, kInfinity, 1.0);
-  const LpSolution sol = solve_lp(model, revised_options());
+  const LpSolution sol = solve_lp(model, SimplexAlgorithm::Revised);
   EXPECT_EQ(sol.status, LpStatus::Unbounded);
 }
 
@@ -215,7 +203,7 @@ TEST(RevisedSimplex, FixedVariablesAndEqualities) {
   const Col x = model.add_variable(2.0, 2.0, 3.0);   // fixed
   const Col y = model.add_variable(0.0, 10.0, 1.0);
   model.add_constraint({{x, 1.0}, {y, 1.0}}, RowSense::Equal, 5.0);
-  const LpSolution sol = solve_lp(model, revised_options());
+  const LpSolution sol = solve_lp(model, SimplexAlgorithm::Revised);
   ASSERT_EQ(sol.status, LpStatus::Optimal);
   EXPECT_NEAR(sol.values[0], 2.0, 1e-9);
   EXPECT_NEAR(sol.values[1], 3.0, 1e-9);
@@ -226,7 +214,7 @@ TEST(RevisedSimplex, InfeasibleEqualitiesAreDetected) {
   LpModel model;
   const Col x = model.add_variable(0.0, 1.0, 1.0);
   model.add_constraint({{x, 1.0}}, RowSense::Equal, 5.0);
-  const LpSolution sol = solve_lp(model, revised_options());
+  const LpSolution sol = solve_lp(model, SimplexAlgorithm::Revised);
   EXPECT_EQ(sol.status, LpStatus::Infeasible);
 }
 

@@ -196,7 +196,7 @@ TEST_P(SchedulingBoundValidity, RootBoundIsAdmissibleAndPreservesExactness) {
 
   // Dense-vs-revised differential with the provider attached.
   MilpOptions dense = with_bounds;
-  dense.simplex.algorithm = lp::SimplexAlgorithm::Dense;
+  dense.simplex = lp::SimplexAlgorithm::Dense;
   dense.presolve = false;
   const auto dense_sol = solve_milp(instance.model, dense);
   ASSERT_EQ(dense_sol.status, MilpStatus::Optimal);
@@ -402,7 +402,7 @@ TEST_P(DiveCertification, DiveIncumbentAlwaysCertifies) {
     return;  // nothing to dive from
   }
   const auto result = dive_for_incumbent(instance.model, hooks, root,
-                                         /*integrality_tolerance=*/1e-6,
+                                         /*integer_tolerance=*/1e-6,
                                          /*feasibility_tolerance=*/1e-6,
                                          /*max_lp_solves=*/64);
   if (!result.found) {

@@ -54,7 +54,7 @@ MilpModel make_random_milp(std::uint64_t seed) {
 
 MilpOptions make_options(lp::SimplexAlgorithm algorithm, bool presolve) {
   MilpOptions options;
-  options.simplex.algorithm = algorithm;
+  options.simplex = algorithm;
   options.presolve = presolve;
   // The random instances here are tiny; disable the cold-solve fallback so
   // the Revised configurations genuinely exercise the revised solver.

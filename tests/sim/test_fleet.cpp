@@ -198,9 +198,12 @@ TEST(Fleet, RecoveryProbeSeesEveryBrokenRun) {
   options.hazard = sim::parse_hazard_spec("exp:300", f.assay.registry());
 
   std::atomic<int> probed{0};
-  options.recover = [&probed](const sim::RunTrace& trace) {
+  options.mission = [&probed](const sim::RunTrace& trace, const sim::RuntimeOptions&,
+                              std::uint64_t) {
     ++probed;
-    return trace.outcome == sim::RunOutcome::DeviceFailed;
+    sim::MissionReport report;
+    report.recovered = trace.outcome == sim::RunOutcome::DeviceFailed;
+    return report;
   };
   const sim::FleetSummary summary = sim::run_fleet(f.report.result, f.assay, options);
   const int broken = summary.device_failed + summary.attempts_exhausted;
@@ -224,8 +227,12 @@ TEST(Fleet, ResynthesisRecoveryUnderHazards) {
   options.seed = 5;
   options.jobs = 2;
   options.hazard = sim::parse_hazard_spec("exp:250", f.assay.registry());
-  options.recover = [&](const sim::RunTrace& trace) {
-    return core::recover(f.assay, f.report.result, trace, synth_options).recovered;
+  options.mission = [&](const sim::RunTrace& trace, const sim::RuntimeOptions&,
+                        std::uint64_t) {
+    sim::MissionReport report;
+    report.recovered =
+        core::recover(f.assay, f.report.result, trace, synth_options).recovered;
+    return report;
   };
   const sim::FleetSummary summary = sim::run_fleet(f.report.result, f.assay, options);
   EXPECT_GT(summary.recovery_attempts, 0);
@@ -293,9 +300,12 @@ TEST(Fleet, SixtyFourRunParallelSweepIsRaceFree) {
   options.jobs = 8;
   options.hazard = sim::parse_hazard_spec("exp:350", f.assay.registry());
   std::atomic<int> probed{0};
-  options.recover = [&probed](const sim::RunTrace& trace) {
+  options.mission = [&probed](const sim::RunTrace& trace, const sim::RuntimeOptions&,
+                              std::uint64_t) {
     ++probed;
-    return !trace.layers.empty();
+    sim::MissionReport report;
+    report.recovered = !trace.layers.empty();
+    return report;
   };
   const sim::FleetSummary summary = sim::run_fleet(f.report.result, f.assay, options);
   EXPECT_EQ(summary.runs, 64);

@@ -6,6 +6,7 @@
 #include <charconv>
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string_view>
 #include <system_error>
@@ -31,16 +32,22 @@ template <class T>
   return value;
 }
 
-/// The value of flag argv[i] as a T, advancing i past it. A missing or
-/// malformed value calls `usage`, which prints the usage text and exits.
+/// The value of flag argv[i] as a T no less than `min`, advancing i past it.
+/// A missing, malformed or too small value calls `usage`, which prints the
+/// usage text and exits.
 template <class T>
-[[nodiscard]] T flag_value(int argc, char** argv, int& i, void (*usage)(const char*)) {
+[[nodiscard]] T flag_value(int argc, char** argv, int& i, void (*usage)(const char*),
+                           T min = std::numeric_limits<T>::lowest()) {
   if (i + 1 >= argc) {
     usage(argv[0]);
   }
   const std::optional<T> value = parse_number<T>(argv[i + 1]);
   if (!value.has_value()) {
     std::cerr << "invalid value for " << argv[i] << ": '" << argv[i + 1] << "'\n";
+    usage(argv[0]);
+  }
+  if (*value < min) {
+    std::cerr << argv[i] << " must be at least " << min << ", got " << *value << "\n";
     usage(argv[0]);
   }
   ++i;

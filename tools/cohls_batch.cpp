@@ -3,9 +3,11 @@
 //   cohls_batch <manifest> [options]
 //
 //   --jobs N               worker threads (default 1)
-//   --max-devices N        |D|, the device budget per assay (default 25)
-//   --threshold N          layer threshold t (default 10)
-//   --transport N          initial transport constant, minutes (default 5)
+//   --max-devices N        |D|, the device budget per assay (default 25;
+//                          at least 1)
+//   --threshold N          layer threshold t (default 10; at least 1)
+//   --transport N          initial transport constant, minutes (default 5;
+//                          at least 0)
 //   --conventional         use the modified conventional baseline
 //   --deadline S           per-job wall-clock budget in seconds (default none)
 //   --cache-capacity N     layer-solution cache entries (default 4096; 0 off)
@@ -66,9 +68,10 @@
 //
 // The manifest lists one assay file per line ('#' comments allowed);
 // relative paths resolve against the manifest's directory. Numeric values
-// must be the whole token, in range (reals also finite). Exit status is 0
-// when every job succeeded, 1 when any failed, 2 on usage errors (a
-// malformed value included), 130 on SIGINT.
+// must be the whole token, in range (reals also finite) and no less than the
+// flag's minimum. Exit status is 0 when every job succeeded, 1 when any
+// failed, 2 on usage errors (a malformed or too small value included), 130
+// on SIGINT.
 //
 // All file outputs (--save-results, --results-json, --metrics-json) are
 // written atomically: content goes to a temp file that is renamed into
@@ -77,7 +80,7 @@
 // results document (interrupted jobs report "cancelled"), and the exit
 // status is 130.
 //
-// Results are bit-identical for any --jobs value: the engine replaces
+// Results are bit-identical for any --jobs value: the engine always replaces
 // wall-clock MILP budgets with node budgets, and the shared layer cache only
 // returns solutions the solver would have produced itself.
 #include <atomic>
@@ -164,11 +167,13 @@ CliOptions parse_cli(int argc, char** argv) {
     if (arg == "--jobs") {
       cli.batch.jobs = numeric_arg<int>(argc, argv, i);
     } else if (arg == "--max-devices") {
-      cli.synthesis.max_devices = numeric_arg<int>(argc, argv, i);
+      cli.synthesis.max_devices = cli::flag_value<int>(argc, argv, i, usage, 1);
     } else if (arg == "--threshold") {
-      cli.synthesis.layering.indeterminate_threshold = numeric_arg<int>(argc, argv, i);
+      cli.synthesis.layering.indeterminate_threshold =
+          cli::flag_value<int>(argc, argv, i, usage, 1);
     } else if (arg == "--transport") {
-      cli.synthesis.initial_transport = Minutes{numeric_arg<std::int64_t>(argc, argv, i)};
+      cli.synthesis.initial_transport =
+          Minutes{cli::flag_value<std::int64_t>(argc, argv, i, usage, 0)};
     } else if (arg == "--conventional") {
       cli.conventional = true;
     } else if (arg == "--deadline") {

@@ -2,9 +2,10 @@
 //
 //   cohls_synth <assay-file> [options]
 //
-//   --max-devices N        |D|, the device budget (default 25)
-//   --threshold N          layer threshold t (default 10)
-//   --transport N          initial transport constant, minutes (default 5)
+//   --max-devices N        |D|, the device budget (default 25; at least 1)
+//   --threshold N          layer threshold t (default 10; at least 1)
+//   --transport N          initial transport constant, minutes (default 5;
+//                          at least 0)
 //   --conventional         use the modified conventional baseline
 //   --layout               refine transport from a placed layout
 //   --no-resynthesis       stop after the initial pass
@@ -33,8 +34,8 @@
 // The assay file uses the format of src/io/assay_text.hpp; see
 // examples/protocols/*.assay for samples.
 //
-// Numeric values must be the whole token, in range (reals also finite);
-// anything else is a usage error.
+// Numeric values must be the whole token, in range (reals also finite) and
+// no less than the flag's minimum; anything else is a usage error.
 //
 // Exit codes distinguish failure classes for scripting:
 //   0 success        1 cannot open/write a file   2 usage error
@@ -119,11 +120,13 @@ CliOptions parse_cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--max-devices") {
-      cli.synthesis.max_devices = numeric_arg<int>(argc, argv, i);
+      cli.synthesis.max_devices = cli::flag_value<int>(argc, argv, i, usage, 1);
     } else if (arg == "--threshold") {
-      cli.synthesis.layering.indeterminate_threshold = numeric_arg<int>(argc, argv, i);
+      cli.synthesis.layering.indeterminate_threshold =
+          cli::flag_value<int>(argc, argv, i, usage, 1);
     } else if (arg == "--transport") {
-      cli.synthesis.initial_transport = Minutes{numeric_arg<std::int64_t>(argc, argv, i)};
+      cli.synthesis.initial_transport =
+          Minutes{cli::flag_value<std::int64_t>(argc, argv, i, usage, 0)};
     } else if (arg == "--conventional") {
       cli.conventional = true;
     } else if (arg == "--layout") {
