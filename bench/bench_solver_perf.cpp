@@ -16,8 +16,8 @@
 // (core::IlpLayerModel::bound_provider) and both solver configurations
 // attach it, together with the root dive and pseudocost branching — the
 // production search configuration. With the configuration-cost floor cuts
-// the big case-2/3 layer-0 MILPs CLOSE to proven optimality (550/548),
-// which the full run and the --closure mode assert.
+// the big case-2/3 layer-0 MILPs CLOSE to proven optimality (550/548 in
+// 108/119 nodes), which the full run and the --closure mode assert.
 //
 // Usage: bench_solver_perf [--smoke] [--closure] [--out <path>]
 //   --smoke    quick differential run (CI), no JSON
@@ -194,6 +194,7 @@ struct Measurement {
   long nodes = 0;
   long pivots = 0;
   long warm_solves = 0;
+  long factor_nonzeros = 0;  ///< basis-inverse nonzeros summed over refactorizations
   long bound_prunes = 0;
   long cutoff_prunes = 0;
   long dive_lp_solves = 0;
@@ -235,6 +236,7 @@ void fill_common(Measurement& out, const milp::MilpSolution& solution) {
   out.nodes = solution.nodes;
   out.pivots = solution.lp_pivots;
   out.warm_solves = solution.lp_warm_solves;
+  out.factor_nonzeros = solution.lp_factor_nonzeros;
   out.bound_prunes = solution.bound_prunes;
   out.cutoff_prunes = solution.cutoff_prunes;
   out.dive_lp_solves = solution.dive_lp_solves;
@@ -317,6 +319,7 @@ std::string json_record(const std::string& solver, const InstanceRow& row,
      << "\", \"vars\": " << row.vars << ", \"rows\": " << row.rows
      << ", \"status\": \"" << milp::to_string(m.status) << "\", \"nodes\": " << m.nodes
      << ", \"pivots\": " << m.pivots << ", \"warm_solves\": " << m.warm_solves
+     << ", \"factor_nonzeros\": " << m.factor_nonzeros
      << ", \"closed\": " << (m.closed ? "true" : "false")
      << ", \"objective\": " << (m.has_objective ? std::to_string(m.objective) : "null")
      << ", \"best_bound\": " << m.best_bound << ", \"proven_gap\": " << m.gap
@@ -329,10 +332,13 @@ std::string json_record(const std::string& solver, const InstanceRow& row,
 }
 
 /// The closure gate: the big Table-2 layer-0 MILPs close to proven
-/// optimality at (or below) the known incumbents.
+/// optimality at (or below) the known incumbents, in exactly the known node
+/// counts (the 1-worker search is deterministic, so node drift means the LP
+/// path changed).
 struct ClosureGate {
   const char* instance;
   double known_incumbent;
+  long expected_nodes;
   bool seen = false;
   bool ok = false;
   Measurement result{};
@@ -351,7 +357,8 @@ bool run_closure(std::vector<ClosureGate>& gates,
         gate.result = measure(captured, /*warm_revised=*/true, /*repetitions=*/1,
                               /*node_cap=*/5000);
         gate.ok = gate.result.status == milp::MilpStatus::Optimal &&
-                  gate.result.objective <= gate.known_incumbent + 1e-6;
+                  gate.result.objective <= gate.known_incumbent + 1e-6 &&
+                  gate.result.nodes == gate.expected_nodes;
       }
     }
     if (gate.ok) {
@@ -364,7 +371,10 @@ bool run_closure(std::vector<ClosureGate>& gates,
     } else {
       std::cout << "CLOSURE GATE FAILED: " << gate.instance
                 << (gate.seen ? " did not close optimally at <= " +
-                                    std::to_string(gate.known_incumbent)
+                                    std::to_string(gate.known_incumbent) + " in " +
+                                    std::to_string(gate.expected_nodes) + " nodes (" +
+                                    milp::to_string(gate.result.status) + ", " +
+                                    std::to_string(gate.result.nodes) + " nodes)"
                               : std::string(" was not captured"))
                 << "\n";
       ok = false;
@@ -374,7 +384,7 @@ bool run_closure(std::vector<ClosureGate>& gates,
 }
 
 std::vector<ClosureGate> closure_gates() {
-  return {{"case2-layer-0", 550.0}, {"case3-layer-0", 548.0}};
+  return {{"case2-layer-0", 550.0, 108}, {"case3-layer-0", 548.0, 119}};
 }
 
 }  // namespace
@@ -400,7 +410,7 @@ int main(int argc, char** argv) {
   if (closure_only) {
     // CI Release closure gate: the big Table-2 layer-0 MILPs (the full
     // 10-indeterminate-op layers) must close to proven optimality at or
-    // below the known incumbents.
+    // below the known incumbents, in the known node counts.
     std::vector<std::pair<std::string, CapturedLayer>> models;
     const auto capture_layer_0 = [&models](const char* name, const model::Assay& assay) {
       for (const CapturedLayer& captured : capture_layer_models(assay, 1)) {
@@ -542,7 +552,9 @@ int main(int argc, char** argv) {
           << "\", \"known_incumbent\": " << gate.known_incumbent
           << ", \"closed\": " << (gate.ok ? "true" : "false")
           << ", \"nodes\": " << gate.result.nodes
+          << ", \"expected_nodes\": " << gate.expected_nodes
           << ", \"dive_lp_solves\": " << gate.result.dive_lp_solves
+          << ", \"factor_nonzeros\": " << gate.result.factor_nonzeros
           << ", \"wall_ms\": " << gate.result.wall_ms << "}";
     }
     out << "],\n";

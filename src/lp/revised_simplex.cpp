@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <utility>
 
@@ -130,7 +131,19 @@ class RevisedSimplex::Impl {
   [[nodiscard]] const SolveStats& total_stats() const { return total_stats_; }
 
  private:
-  // --- factorization: dense refactorized inverse + eta file -----------------
+  // --- factorization: sparse inverse from recorded Gauss-Jordan + eta file --
+  //
+  // refactor() runs Gauss-Jordan with partial pivoting over the basis matrix
+  // one column at a time. The eliminations are recorded as steps on row
+  // labels (a row keeps its label when partial pivoting swaps it to another
+  // slot, so the steps need no swaps). Step k scales the pivot row's entry
+  // by 1/pivot and subtracts factor * entry from every other row it names.
+  // Applying the steps to a vector performs, element by element and in the
+  // same order, the arithmetic of a dense elimination over [B | I], minus the
+  // updates that would only add a signed zero. The inverse's nonzeros are
+  // stored column by column (B^-1 e_r for row r) for ftran and row by row
+  // (columns ascending) for btran, so each output of either sums the same
+  // nonzero terms in the same order as a pass over the dense inverse.
 
   struct Eta {
     int row;
@@ -138,94 +151,210 @@ class RevisedSimplex::Impl {
     std::vector<std::pair<int, double>> entries;
   };
 
-  [[nodiscard]] double* inv_column(int i) {
-    return inv0_.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(m_);
-  }
-  [[nodiscard]] const double* inv_column(int i) const {
-    return inv0_.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(m_);
-  }
-
   void set_identity_factor() {
-    inv0_.assign(static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_), 0.0);
+    inv_nz_start_.resize(static_cast<std::size_t>(m_) + 1);
+    inv_nz_.resize(static_cast<std::size_t>(m_));
+    inv_val_.assign(static_cast<std::size_t>(m_), 1.0);
     for (int i = 0; i < m_; ++i) {
-      inv_column(i)[i] = 1.0;
+      inv_nz_start_[static_cast<std::size_t>(i)] = i;
+      inv_nz_[static_cast<std::size_t>(i)] = i;
     }
+    inv_nz_start_[static_cast<std::size_t>(m_)] = m_;
+    build_inverse_rows();
     etas_.clear();
+    factored_ = true;
   }
 
-  /// Rebuilds the dense inverse of the current basis matrix and clears the
-  /// eta file. Returns false when the basis is (numerically) singular.
+  /// Marks row `r` as a nonzero of the vector held in gj_x_.
+  void touch(int r) {
+    if (gj_touched_[static_cast<std::size_t>(r)] == 0) {
+      gj_touched_[static_cast<std::size_t>(r)] = 1;
+      gj_pattern_.push_back(r);
+    }
+  }
+
+  /// Clears the vector held in gj_x_ back to all zeros.
+  void clear_pattern() {
+    for (const int r : gj_pattern_) {
+      gj_x_[static_cast<std::size_t>(r)] = 0.0;
+      gj_touched_[static_cast<std::size_t>(r)] = 0;
+    }
+    gj_pattern_.clear();
+  }
+
+  /// True when step k changes no vector: it eliminates no other row and its
+  /// pivot is exactly 1 (a logical column pivoting on its own row).
+  [[nodiscard]] bool identity_step(int k) const {
+    const std::size_t s = static_cast<std::size_t>(k);
+    return step_start_[s] == step_start_[s + 1] && step_inv_pivot_[s] == 1.0;
+  }
+
+  /// Applies every recorded step, in step order, to the vector held in
+  /// gj_x_ (nonzero rows in gj_pattern_). Only the steps whose pivot row can
+  /// be nonzero are visited: a min-heap holds the pending step of each row
+  /// in the pattern, and a row reached by step k queues its own step if it
+  /// comes later. Identity steps are never queued.
+  void apply_steps() {
+    gj_heap_.clear();
+    for (const int r : gj_pattern_) {
+      const int step = step_of_row_[static_cast<std::size_t>(r)];
+      if (step >= 0 && !identity_step(step)) {
+        gj_heap_.push_back(step);
+      }
+    }
+    const auto later = std::greater<>();
+    std::make_heap(gj_heap_.begin(), gj_heap_.end(), later);
+    while (!gj_heap_.empty()) {
+      std::pop_heap(gj_heap_.begin(), gj_heap_.end(), later);
+      const std::size_t k = static_cast<std::size_t>(gj_heap_.back());
+      gj_heap_.pop_back();
+      double& pivot_entry = gj_x_[static_cast<std::size_t>(step_row_[k])];
+      if (pivot_entry == 0.0) {
+        continue;
+      }
+      pivot_entry *= step_inv_pivot_[k];
+      const double xk = pivot_entry;
+      for (int e = step_start_[k]; e < step_start_[k + 1]; ++e) {
+        const int r = step_nz_[static_cast<std::size_t>(e)];
+        if (gj_touched_[static_cast<std::size_t>(r)] == 0) {
+          touch(r);
+          const int step = step_of_row_[static_cast<std::size_t>(r)];
+          if (step > static_cast<int>(k) && !identity_step(step)) {
+            gj_heap_.push_back(step);
+            std::push_heap(gj_heap_.begin(), gj_heap_.end(), later);
+          }
+        }
+        gj_x_[static_cast<std::size_t>(r)] -= step_factor_[static_cast<std::size_t>(e)] * xk;
+      }
+    }
+  }
+
+  /// Rebuilds the sparse inverse of the current basis matrix and clears the
+  /// eta file. Returns false when the basis is (numerically) singular; the
+  /// previous inverse is then left in place.
   bool refactor() {
     ++last_stats_.refactorizations;
-    // Row-major working copies of B and its inverse-in-progress.
-    const std::size_t mm = static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_);
-    work_matrix_.assign(mm, 0.0);
-    work_inverse_.assign(mm, 0.0);
-    auto at = [&](std::vector<double>& a, int r, int c) -> double& {
-      return a[static_cast<std::size_t>(r) * static_cast<std::size_t>(m_) +
-               static_cast<std::size_t>(c)];
-    };
-    for (int i = 0; i < m_; ++i) {
-      const int col = basic_[static_cast<std::size_t>(i)];
+    const std::size_t m = static_cast<std::size_t>(m_);
+    gj_x_.assign(m, 0.0);
+    gj_touched_.assign(m, 0);
+    gj_pattern_.clear();
+    step_of_row_.assign(m, -1);
+    row_at_slot_.resize(m);
+    slot_of_row_.resize(m);
+    for (int r = 0; r < m_; ++r) {
+      row_at_slot_[static_cast<std::size_t>(r)] = r;
+      slot_of_row_[static_cast<std::size_t>(r)] = r;
+    }
+    step_row_.resize(m);
+    step_inv_pivot_.resize(m);
+    step_start_.assign(1, 0);
+    step_nz_.clear();
+    step_factor_.clear();
+    for (int k = 0; k < m_; ++k) {
+      // Column k of the partially eliminated matrix: the basis column with
+      // steps 0..k-1 applied.
+      const int col = basic_[static_cast<std::size_t>(k)];
       if (col < n_) {
-        for (int k = col_start_[static_cast<std::size_t>(col)];
-             k < col_start_[static_cast<std::size_t>(col) + 1]; ++k) {
-          at(work_matrix_, row_idx_[static_cast<std::size_t>(k)], i) =
-              val_[static_cast<std::size_t>(k)];
+        for (int e = col_start_[static_cast<std::size_t>(col)];
+             e < col_start_[static_cast<std::size_t>(col) + 1]; ++e) {
+          const int r = row_idx_[static_cast<std::size_t>(e)];
+          touch(r);
+          gj_x_[static_cast<std::size_t>(r)] = val_[static_cast<std::size_t>(e)];
         }
       } else {
-        at(work_matrix_, col - n_, i) = 1.0;
+        touch(col - n_);
+        gj_x_[static_cast<std::size_t>(col - n_)] = 1.0;
       }
-      at(work_inverse_, i, i) = 1.0;
-    }
-    // Gauss-Jordan with partial pivoting over the augmented [B | I].
-    for (int k = 0; k < m_; ++k) {
-      int pivot_row = k;
-      double best = std::abs(at(work_matrix_, k, k));
-      for (int r = k + 1; r < m_; ++r) {
-        const double mag = std::abs(at(work_matrix_, r, k));
-        if (mag > best) {
+      apply_steps();
+      // Partial pivoting over slots k..m-1: the largest magnitude, the
+      // lowest slot among equals (a first-max scan in slot order).
+      int pivot_row = row_at_slot_[static_cast<std::size_t>(k)];
+      int pivot_slot = k;
+      double best = std::abs(gj_x_[static_cast<std::size_t>(pivot_row)]);
+      for (const int r : gj_pattern_) {
+        if (step_of_row_[static_cast<std::size_t>(r)] >= 0) {
+          continue;  // already pivoted, now in a slot before k
+        }
+        const int slot = slot_of_row_[static_cast<std::size_t>(r)];
+        const double mag = std::abs(gj_x_[static_cast<std::size_t>(r)]);
+        if (mag > best || (mag == best && slot < pivot_slot)) {
           best = mag;
           pivot_row = r;
+          pivot_slot = slot;
         }
       }
       if (best <= kSingularTol) {
+        clear_pattern();
         return false;
       }
-      if (pivot_row != k) {
-        for (int c = 0; c < m_; ++c) {
-          std::swap(at(work_matrix_, k, c), at(work_matrix_, pivot_row, c));
-          std::swap(at(work_inverse_, k, c), at(work_inverse_, pivot_row, c));
+      const int displaced = row_at_slot_[static_cast<std::size_t>(k)];
+      row_at_slot_[static_cast<std::size_t>(pivot_slot)] = displaced;
+      slot_of_row_[static_cast<std::size_t>(displaced)] = pivot_slot;
+      row_at_slot_[static_cast<std::size_t>(k)] = pivot_row;
+      slot_of_row_[static_cast<std::size_t>(pivot_row)] = k;
+      step_of_row_[static_cast<std::size_t>(pivot_row)] = k;
+      step_row_[static_cast<std::size_t>(k)] = pivot_row;
+      step_inv_pivot_[static_cast<std::size_t>(k)] =
+          1.0 / gj_x_[static_cast<std::size_t>(pivot_row)];
+      for (const int r : gj_pattern_) {
+        const double factor = gj_x_[static_cast<std::size_t>(r)];
+        if (r != pivot_row && factor != 0.0) {
+          step_nz_.push_back(r);
+          step_factor_.push_back(factor);
         }
       }
-      const double inv_pivot = 1.0 / at(work_matrix_, k, k);
-      for (int c = 0; c < m_; ++c) {
-        at(work_matrix_, k, c) *= inv_pivot;
-        at(work_inverse_, k, c) *= inv_pivot;
-      }
-      for (int r = 0; r < m_; ++r) {
-        if (r == k) {
-          continue;
-        }
-        const double factor = at(work_matrix_, r, k);
-        if (factor == 0.0) {
-          continue;
-        }
-        for (int c = 0; c < m_; ++c) {
-          at(work_matrix_, r, c) -= factor * at(work_matrix_, k, c);
-          at(work_inverse_, r, c) -= factor * at(work_inverse_, k, c);
-        }
-      }
+      clear_pattern();
+      step_start_.push_back(static_cast<int>(step_nz_.size()));
     }
-    inv0_.resize(mm);
-    for (int i = 0; i < m_; ++i) {
-      double* col = inv_column(i);
-      for (int r = 0; r < m_; ++r) {
-        col[r] = at(work_inverse_, r, i);
+    // Column r of the inverse: the steps applied to e_r. Row labels map to
+    // the slots where their steps pivoted them.
+    inv_nz_start_.assign(1, 0);
+    inv_nz_.clear();
+    inv_val_.clear();
+    for (int r = 0; r < m_; ++r) {
+      touch(r);
+      gj_x_[static_cast<std::size_t>(r)] = 1.0;
+      apply_steps();
+      for (const int i : gj_pattern_) {
+        const double value = gj_x_[static_cast<std::size_t>(i)];
+        if (value != 0.0) {
+          inv_nz_.push_back(step_of_row_[static_cast<std::size_t>(i)]);
+          inv_val_.push_back(value);
+        }
       }
+      clear_pattern();
+      inv_nz_start_.push_back(static_cast<int>(inv_nz_.size()));
     }
+    build_inverse_rows();
+    last_stats_.factor_nonzeros += static_cast<long>(inv_val_.size());
     etas_.clear();
+    factored_ = true;
     return true;
+  }
+
+  /// Builds the row-wise copy of the inverse that btran walks: a counting-
+  /// sort transpose of the columns, so each row lists its columns in
+  /// ascending order.
+  void build_inverse_rows() {
+    const std::size_t m = static_cast<std::size_t>(m_);
+    inv_row_start_.assign(m + 1, 0);
+    for (const int slot : inv_nz_) {
+      ++inv_row_start_[static_cast<std::size_t>(slot) + 1];
+    }
+    for (std::size_t q = 0; q < m; ++q) {
+      inv_row_start_[q + 1] += inv_row_start_[q];
+    }
+    inv_row_col_.resize(inv_nz_.size());
+    inv_row_val_.resize(inv_val_.size());
+    std::vector<int> next(inv_row_start_.begin(), inv_row_start_.end() - 1);
+    for (std::size_t r = 0; r < m; ++r) {
+      for (int e = inv_nz_start_[r]; e < inv_nz_start_[r + 1]; ++e) {
+        const std::size_t at = static_cast<std::size_t>(
+            next[static_cast<std::size_t>(inv_nz_[static_cast<std::size_t>(e)])]++);
+        inv_row_col_[at] = static_cast<int>(r);
+        inv_row_val_[at] = inv_val_[static_cast<std::size_t>(e)];
+      }
+    }
   }
 
   /// v := B^-1 v for a dense v.
@@ -236,9 +365,10 @@ class RevisedSimplex::Impl {
       if (vr == 0.0) {
         continue;
       }
-      const double* col = inv_column(r);
-      for (int i = 0; i < m_; ++i) {
-        work_[static_cast<std::size_t>(i)] += vr * col[i];
+      for (int e = inv_nz_start_[static_cast<std::size_t>(r)];
+           e < inv_nz_start_[static_cast<std::size_t>(r) + 1]; ++e) {
+        work_[static_cast<std::size_t>(inv_nz_[static_cast<std::size_t>(e)])] +=
+            vr * inv_val_[static_cast<std::size_t>(e)];
       }
     }
     apply_etas(work_);
@@ -268,15 +398,17 @@ class RevisedSimplex::Impl {
       for (int k = col_start_[static_cast<std::size_t>(col)];
            k < col_start_[static_cast<std::size_t>(col) + 1]; ++k) {
         const double coef = val_[static_cast<std::size_t>(k)];
-        const double* inv = inv_column(row_idx_[static_cast<std::size_t>(k)]);
-        for (int i = 0; i < m_; ++i) {
-          w[static_cast<std::size_t>(i)] += coef * inv[i];
+        const std::size_t r = static_cast<std::size_t>(row_idx_[static_cast<std::size_t>(k)]);
+        for (int e = inv_nz_start_[r]; e < inv_nz_start_[r + 1]; ++e) {
+          w[static_cast<std::size_t>(inv_nz_[static_cast<std::size_t>(e)])] +=
+              coef * inv_val_[static_cast<std::size_t>(e)];
         }
       }
     } else {
-      const double* inv = inv_column(col - n_);
-      for (int i = 0; i < m_; ++i) {
-        w[static_cast<std::size_t>(i)] = inv[i];
+      const std::size_t r = static_cast<std::size_t>(col - n_);
+      for (int e = inv_nz_start_[r]; e < inv_nz_start_[r + 1]; ++e) {
+        w[static_cast<std::size_t>(inv_nz_[static_cast<std::size_t>(e)])] =
+            inv_val_[static_cast<std::size_t>(e)];
       }
     }
     apply_etas(w);
@@ -291,14 +423,20 @@ class RevisedSimplex::Impl {
       }
       v[static_cast<std::size_t>(it->row)] = dot;
     }
-    work_.resize(static_cast<std::size_t>(m_));
-    for (int i = 0; i < m_; ++i) {
-      const double* col = inv_column(i);
-      double dot = 0.0;
-      for (int r = 0; r < m_; ++r) {
-        dot += col[r] * v[static_cast<std::size_t>(r)];
+    // Row-wise, skipping zero entries of v: each output still sums its
+    // terms in ascending slot order, starting from zero, as a dot product
+    // over the column would.
+    work_.assign(static_cast<std::size_t>(m_), 0.0);
+    for (int q = 0; q < m_; ++q) {
+      const double vq = v[static_cast<std::size_t>(q)];
+      if (vq == 0.0) {
+        continue;
       }
-      work_[static_cast<std::size_t>(i)] = dot;
+      for (int t = inv_row_start_[static_cast<std::size_t>(q)];
+           t < inv_row_start_[static_cast<std::size_t>(q) + 1]; ++t) {
+        work_[static_cast<std::size_t>(inv_row_col_[static_cast<std::size_t>(t)])] +=
+            inv_row_val_[static_cast<std::size_t>(t)] * vq;
+      }
     }
     v.swap(work_);
   }
@@ -453,7 +591,7 @@ class RevisedSimplex::Impl {
         return false;
       }
     }
-    const bool same_basic = basic_ == start.basic && !inv0_.empty();
+    const bool same_basic = basic_ == start.basic && factored_;
     status_ = start.status;
     pos_.assign(static_cast<std::size_t>(total_), -1);
     for (int i = 0; i < m_; ++i) {
@@ -978,9 +1116,31 @@ class RevisedSimplex::Impl {
   std::vector<double> lower_;
   std::vector<double> upper_;
 
-  // Basis factorization: dense refactorized inverse (column-major) + etas.
-  std::vector<double> inv0_;
+  // Basis factorization: B^-1 at the last refactor as sparse columns
+  // (column r = B^-1 e_r; entries are slots) for ftran, the same nonzeros
+  // row by row (columns ascending) for btran, + etas. factored_ turns true
+  // at the first factorization and stays true (a failed refactor keeps the
+  // previous inverse).
+  std::vector<int> inv_nz_start_;
+  std::vector<int> inv_nz_;
+  std::vector<double> inv_val_;
+  std::vector<int> inv_row_start_;
+  std::vector<int> inv_row_col_;
+  std::vector<double> inv_row_val_;
   std::vector<Eta> etas_;
+  bool factored_ = false;
+
+  // Gauss-Jordan steps of the last refactor, indexed by step k (= the slot
+  // it pivots): the pivot row label, 1/pivot, and the (row, factor) pairs
+  // [step_start_[k], step_start_[k + 1]) of the other rows it eliminates.
+  std::vector<int> step_row_;
+  std::vector<double> step_inv_pivot_;
+  std::vector<int> step_start_;
+  std::vector<int> step_nz_;
+  std::vector<double> step_factor_;
+  std::vector<int> step_of_row_;  ///< step that pivoted each row, -1 before
+  std::vector<int> row_at_slot_;  ///< partial-pivoting row order
+  std::vector<int> slot_of_row_;
 
   // Basis state.
   std::vector<int> basic_;
@@ -994,8 +1154,10 @@ class RevisedSimplex::Impl {
 
   // Scratch buffers reused across iterations.
   std::vector<double> work_;
-  std::vector<double> work_matrix_;
-  std::vector<double> work_inverse_;
+  std::vector<double> gj_x_;         ///< refactor vector by row label, zero between uses
+  std::vector<char> gj_touched_;     ///< rows of gj_x_ listed in gj_pattern_
+  std::vector<int> gj_pattern_;
+  std::vector<int> gj_heap_;         ///< pending steps of apply_steps()
   std::vector<double> rhs_work_;
   std::vector<double> y_;
   std::vector<double> rho_;

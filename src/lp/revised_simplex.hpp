@@ -1,7 +1,11 @@
 // Sparse revised simplex with native variable bounds. The constraint matrix
-// is stored once in compressed-sparse-column form; the basis inverse is kept
-// as a dense refactorized inverse plus a product-form eta file, refactorized
-// periodically. Compared with the dense tableau (lp/simplex.cpp, selected by
+// is stored once in compressed-sparse-column form. The basis inverse is a
+// sparse inverse plus a product-form eta file, refactorized periodically: a
+// refactorization records Gauss–Jordan elimination with partial pivoting as
+// a list of steps and applies them to each unit vector, keeping only the
+// nonzeros, so every nonzero equals what a dense elimination computes, bit
+// for bit. ftran and btran walk only those nonzeros, summing in the dense
+// order. Compared with the dense tableau (lp/simplex.cpp, selected by
 // SimplexAlgorithm::Dense for differential testing) pricing walks sparse
 // columns instead of O(rows x cols) tableau sweeps, and a bounded-variable
 // dual simplex entry point re-solves from a caller-supplied starting basis —
@@ -42,6 +46,7 @@ struct SolveStats {
   long warm_solves = 0;       ///< solves that started from a supplied basis
   long warm_degraded = 0;     ///< warm solves that fell back to a cold solve
   long cold_solves = 0;
+  long factor_nonzeros = 0;   ///< nonzeros of the basis inverse, summed over refactors
 
   void accumulate(const SolveStats& other) {
     primal_pivots += other.primal_pivots;
@@ -50,6 +55,7 @@ struct SolveStats {
     warm_solves += other.warm_solves;
     warm_degraded += other.warm_degraded;
     cold_solves += other.cold_solves;
+    factor_nonzeros += other.factor_nonzeros;
   }
 };
 

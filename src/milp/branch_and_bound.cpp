@@ -483,6 +483,7 @@ class Solver {
       out.lp_warm_solves = stats.warm_solves;
       out.lp_cold_solves = stats.cold_solves;
       out.lp_refactorizations = stats.refactorizations;
+      out.lp_factor_nonzeros = stats.factor_nonzeros;
     } else {
       out.lp_pivots = ws_.cold_scratch_pivots;
       out.lp_cold_solves = ws_.cold_scratch_solves;

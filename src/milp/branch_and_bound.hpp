@@ -88,6 +88,7 @@ struct MilpSolution {
   long lp_warm_solves = 0;      ///< node re-solves warm-started from a parent basis
   long lp_cold_solves = 0;      ///< from-scratch two-phase solves
   long lp_refactorizations = 0; ///< basis refactorizations in the revised solver
+  long lp_factor_nonzeros = 0;  ///< basis-inverse nonzeros, summed over refactorizations
 
   // Bound-driven search summary.
   long bound_prunes = 0;   ///< nodes pruned by the combinatorial bound, no LP solve

@@ -182,6 +182,88 @@ TEST(WarmStart, ChainedTighteningsMatchColdSolves) {
   }
 }
 
+// --- tall models: rows >> columns, across refactorizations ------------------
+
+// The layer MILPs have far more rows than columns (1335 x 386), so their
+// bases are mostly logicals. These models share that shape and are large
+// enough that a solve plus its warm re-solves append more eta updates than
+// the refactorization interval, so the sparse inverse is rebuilt from a
+// basis that mixes structural and logical columns mid-solve.
+LpModel make_tall_lp(std::uint64_t seed, int n = 40, int m = 150) {
+  Rng rng{seed};
+  LpModel model;
+  for (int j = 0; j < n; ++j) {
+    const double lb = static_cast<double>(rng.uniform_int(-2, 0));
+    model.add_variable(lb, lb + static_cast<double>(rng.uniform_int(2, 9)),
+                       static_cast<double>(rng.uniform_int(-9, 3)));
+  }
+  for (int i = 0; i < m; ++i) {
+    std::vector<Term> terms;
+    for (int j = 0; j < n; ++j) {
+      if (rng.uniform_int(0, 9) < 2) {  // ~20% dense rows
+        const auto coef = rng.uniform_int(-4, 6);
+        if (coef != 0) {
+          terms.emplace_back(j, static_cast<double>(coef));
+        }
+      }
+    }
+    const auto sense_draw = rng.uniform_int(0, 9);
+    const auto sense = sense_draw < 7   ? RowSense::LessEqual
+                       : sense_draw < 9 ? RowSense::GreaterEqual
+                                        : RowSense::Equal;
+    const double rhs = sense == RowSense::LessEqual ? static_cast<double>(rng.uniform_int(5, 30))
+                       : sense == RowSense::GreaterEqual
+                           ? static_cast<double>(rng.uniform_int(-30, 2))
+                           : static_cast<double>(rng.uniform_int(-3, 3));
+    model.add_constraint(std::move(terms), sense, rhs);
+  }
+  return model;
+}
+
+class TallModel : public ::testing::TestWithParam<int> {};
+
+TEST_P(TallModel, ColdAndChainedWarmSolvesMatchDenseAcrossRefactorizations) {
+  const std::uint64_t seed = static_cast<std::uint64_t>(GetParam()) * 48271 + 11;
+  LpModel model = make_tall_lp(seed);
+  RevisedSimplex solver(model);
+  LpSolution current = solver.solve();
+  const LpSolution dense = solve_lp(model, SimplexAlgorithm::Dense);
+  ASSERT_NE(current.status, LpStatus::IterationLimit);
+  ASSERT_EQ(current.status, dense.status);
+  if (current.status == LpStatus::Optimal) {
+    EXPECT_NEAR(current.objective, dense.objective, 1e-6);
+    EXPECT_TRUE(model.is_feasible(current.values, 1e-5));
+  }
+  Rng rng{seed + 1};
+  for (int depth = 0; depth < 24 && current.status == LpStatus::Optimal; ++depth) {
+    const Basis basis = solver.basis();
+    const Col c = static_cast<Col>(rng.uniform_int(0, model.variable_count() - 1));
+    const double v = current.values[static_cast<std::size_t>(c)];
+    double lo = model.lower_bound(c);
+    double hi = model.upper_bound(c);
+    if (rng.uniform_int(0, 1) == 0) {
+      hi = std::max(lo, std::ceil(v - 1e-9) - 1.0);
+    } else {
+      lo = std::min(hi, std::floor(v + 1e-9) + 1.0);
+    }
+    solver.set_bounds(c, lo, hi);
+    model.set_bounds(c, lo, hi);
+    current = solver.solve_from(basis);
+    const LpSolution cold = solve_lp(model, SimplexAlgorithm::Dense);
+    ASSERT_NE(current.status, LpStatus::IterationLimit) << "depth " << depth;
+    ASSERT_EQ(current.status, cold.status) << "depth " << depth;
+    if (current.status == LpStatus::Optimal) {
+      EXPECT_NEAR(current.objective, cold.objective, 1e-6) << "depth " << depth;
+      EXPECT_TRUE(model.is_feasible(current.values, 1e-5)) << "depth " << depth;
+    }
+  }
+  // The eta file crossed the refactorization interval at least once.
+  EXPECT_GE(solver.total_stats().refactorizations, 1);
+  EXPECT_GT(solver.total_stats().factor_nonzeros, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TallModel, ::testing::Range(0, 12));
+
 // --- targeted shapes --------------------------------------------------------
 
 TEST(RevisedSimplex, EmptyModelIsOptimalAtZero) {
@@ -249,6 +331,37 @@ TEST(RevisedSimplex, WarmStartFromForeignBasisFallsBackSafely) {
   const LpSolution sol = solver.solve_from(bogus);
   ASSERT_EQ(sol.status, LpStatus::Optimal);
   EXPECT_GE(solver.last_stats().warm_degraded, 1);
+}
+
+// A well-formed basis whose matrix is singular (two parallel structural
+// columns) cannot be factorized; the warm solve must fall back to a cold one
+// and still reach the optimum, and the solver must stay usable afterwards.
+TEST(RevisedSimplex, SingularWarmBasisFallsBackToColdSolve) {
+  LpModel model;
+  const Col x = model.add_variable(0.0, 4.0, -1.0);
+  const Col y = model.add_variable(0.0, 4.0, -3.0);
+  model.add_constraint({{x, 1.0}, {y, 2.0}}, RowSense::LessEqual, 6.0);
+  model.add_constraint({{x, 2.0}, {y, 4.0}}, RowSense::LessEqual, 10.0);
+  RevisedSimplex solver(model);
+  const LpSolution first = solver.solve();
+  ASSERT_EQ(first.status, LpStatus::Optimal);
+  EXPECT_NEAR(first.objective, -7.5, 1e-9);  // x=0, y=2.5
+
+  Basis singular;
+  singular.basic = {x, y};
+  singular.status = {BasisStatus::Basic, BasisStatus::Basic, BasisStatus::AtLower,
+                     BasisStatus::AtLower};
+  const LpSolution sol = solver.solve_from(singular);
+  ASSERT_EQ(sol.status, LpStatus::Optimal);
+  EXPECT_NEAR(sol.objective, -7.5, 1e-9);
+  EXPECT_GE(solver.last_stats().warm_degraded, 1);
+  EXPECT_GE(solver.last_stats().refactorizations, 1);
+
+  solver.set_bounds(y, 0.0, 2.0);
+  const LpSolution warm = solver.solve_from(solver.basis());
+  ASSERT_EQ(warm.status, LpStatus::Optimal);
+  EXPECT_NEAR(warm.objective, -7.0, 1e-9);  // x=1, y=2
+  EXPECT_EQ(solver.last_stats().warm_degraded, 0);
 }
 
 }  // namespace
