@@ -1,5 +1,5 @@
-// Simulation-runtime benchmark: the event-wheel fleet driver (compile-once
-// schedule, calendar-queue replay, trace-free summaries, break truncation)
+// Simulation-runtime benchmark: the event-driven fleet driver (compile-once
+// schedule, event-queue replay, trace-free summaries, break truncation)
 // against a loop of the original three-pass simulate_run — per run a full
 // window materialization, O(windows x faults) break scans, and a complete
 // RunTrace. Both sides replay the same Table-2 schedules under the same
@@ -25,7 +25,7 @@
 //
 // Output: a human-readable table, and BENCH_sim.json with one record per
 // Table-2 case holding runs/sec, events/sec, the speedup, the reliability
-// reduction, the mission-survival reduction and the wheel statistics.
+// reduction, the mission-survival reduction and the event-queue statistics.
 // Smoke mode writes the same document (timing fields included but
 // meaningless at one worker) so CI can assert its fields.
 //
@@ -147,8 +147,6 @@ bool summaries_identical(const sim::FleetSummary& a, const sim::FleetSummary& b)
          a.histogram_min == b.histogram_min && a.histogram_max == b.histogram_max &&
          a.completion_histogram == b.completion_histogram && a.events == b.events &&
          a.wheel.posted == b.wheel.posted && a.wheel.popped == b.wheel.popped &&
-         a.wheel.cascaded == b.wheel.cascaded &&
-         a.wheel.overflowed == b.wheel.overflowed &&
          a.wheel.peak_pending == b.wheel.peak_pending &&
          a.missions == b.missions && a.missions_recovered == b.missions_recovered &&
          a.missions_degraded == b.missions_degraded &&
@@ -195,8 +193,6 @@ std::string json_record(const CaseRecord& record) {
       << ", \"mean_completion_minutes\": " << record.summary.mean_completion_minutes
       << ", \"events\": " << record.summary.events << ", \"wheel\": {\"posted\": "
       << record.summary.wheel.posted << ", \"popped\": " << record.summary.wheel.popped
-      << ", \"cascaded\": " << record.summary.wheel.cascaded
-      << ", \"overflowed\": " << record.summary.wheel.overflowed
       << ", \"peak_pending\": " << record.summary.wheel.peak_pending << "}"
       << ", \"mission_runs\": " << record.mission_runs
       << ", \"missions\": " << record.mission.missions
@@ -383,7 +379,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   if (!all_match) {
-    std::cerr << "FAIL: event-wheel fleet reduction diverges from the"
+    std::cerr << "FAIL: event-driven fleet reduction diverges from the"
                  " simulate_run_reference loop\n";
     return 1;
   }
@@ -392,7 +388,7 @@ int main(int argc, char** argv) {
   // The 10x criterion presumes a multi-worker fleet against the serial
   // reference; under 4 workers (including smoke's jobs=1) the shared
   // sampling/realization cost caps the ratio below the gate no matter how
-  // fast the wheel is, so the measured value is recorded but not enforced.
+  // fast the replay is, so the measured value is recorded but not enforced.
   const bool gate_enforced = !smoke && workers >= 4;
   const char* gate_reason =
       smoke ? "smoke mode times a single worker: the ratio is not meaningful"

@@ -391,8 +391,7 @@ BatchResult BatchEngine::run_one(const BatchJob& job, const CancellationToken& t
       metrics_.counter("fleet_recoveries").add(row.fleet->recovered);
       if (row.fleet->missions > 0) {
         metrics_.counter("fleet_missions").add(row.fleet->missions);
-        metrics_.counter("fleet_mission_rounds")
-            .add(static_cast<int>(row.fleet->mission_rounds));
+        metrics_.counter("fleet_mission_rounds").add(row.fleet->mission_rounds);
         metrics_.counter("fleet_missions_degraded")
             .add(row.fleet->missions_degraded);
         metrics_.counter("fleet_mission_credit_minutes")

@@ -41,8 +41,6 @@ struct RunRecord {
   RunOutcome outcome = RunOutcome::Completed;
   Minutes completed_at{0};
   std::uint64_t events = 0;
-  bool recovery_attempted = false;
-  bool recovered = false;
   bool mission_ran = false;
   MissionReport mission;
 };
@@ -53,7 +51,7 @@ struct RunRecord {
 void simulate_chunk(const CompiledSchedule& compiled,
                     const model::DeviceInventory& devices, const FleetOptions& options,
                     int lo, int hi, std::vector<RunRecord>& records,
-                    EventWheel::Stats& wheel_stats) {
+                    EventQueue::Stats& queue_stats) {
   Replayer replayer;
   RuntimeOptions run_options = options.runtime;
   const std::size_t scripted_faults = run_options.faults.events.size();
@@ -80,8 +78,6 @@ void simulate_chunk(const CompiledSchedule& compiled,
         record.mission =
             options.mission(trace, mission_options, static_cast<std::uint64_t>(r));
         record.mission_ran = true;
-        record.recovery_attempted = true;
-        record.recovered = record.mission.recovered;
       }
     } else {
       summary = replayer.run_summary(compiled, run_options);
@@ -91,7 +87,7 @@ void simulate_chunk(const CompiledSchedule& compiled,
     record.events = summary.events;
     records[static_cast<std::size_t>(r)] = record;
   }
-  wheel_stats = replayer.wheel_stats();
+  queue_stats = replayer.queue_stats();
 }
 
 FleetSummary reduce(const std::vector<RunRecord>& records) {
@@ -115,8 +111,6 @@ FleetSummary reduce(const std::vector<RunRecord>& records) {
         break_sum += record.completed_at.count();
         break;
     }
-    summary.recovery_attempts += record.recovery_attempted ? 1 : 0;
-    summary.recovered += record.recovered ? 1 : 0;
     summary.events += record.events;
     if (record.mission_ran) {
       ++summary.missions;
@@ -139,6 +133,9 @@ FleetSummary reduce(const std::vector<RunRecord>& records) {
       summary.missions > 0
           ? static_cast<double>(summary.mission_rounds) / summary.missions
           : 0.0;
+  summary.recovery_attempts = summary.missions;
+  summary.recovered = summary.missions_recovered;
+  summary.recovery_success_rate = summary.mission_survival_rate;
 
   const int broken = summary.device_failed + summary.attempts_exhausted;
   summary.mttf_minutes =
@@ -146,10 +143,6 @@ FleetSummary reduce(const std::vector<RunRecord>& records) {
   summary.mean_completion_minutes =
       summary.completed > 0 ? static_cast<double>(completion_sum) / summary.completed
                             : 0.0;
-  summary.recovery_success_rate =
-      summary.recovery_attempts > 0
-          ? static_cast<double>(summary.recovered) / summary.recovery_attempts
-          : 0.0;
 
   if (summary.completed > 0) {
     Minutes lo = kNoHorizon;
@@ -189,7 +182,7 @@ FleetSummary run_fleet(const CompiledSchedule& compiled,
   const int jobs = std::clamp(options.jobs, 1, std::max(options.runs, 1));
 
   if (jobs <= 1) {
-    EventWheel::Stats stats;
+    EventQueue::Stats stats;
     simulate_chunk(compiled, devices, options, 0, options.runs, records, stats);
     FleetSummary summary = reduce(records);
     summary.wheel = stats;
@@ -198,7 +191,7 @@ FleetSummary run_fleet(const CompiledSchedule& compiled,
 
   // Contiguous chunks into disjoint record slots; the serial reduction over
   // run order afterwards makes the result independent of worker timing.
-  std::vector<EventWheel::Stats> worker_stats(static_cast<std::size_t>(jobs));
+  std::vector<EventQueue::Stats> worker_stats(static_cast<std::size_t>(jobs));
   std::vector<std::future<void>> pending;
   pending.reserve(static_cast<std::size_t>(jobs));
   const int chunk = (options.runs + jobs - 1) / jobs;
@@ -210,7 +203,7 @@ FleetSummary run_fleet(const CompiledSchedule& compiled,
       if (lo >= hi) {
         break;
       }
-      EventWheel::Stats& stats = worker_stats[static_cast<std::size_t>(w)];
+      EventQueue::Stats& stats = worker_stats[static_cast<std::size_t>(w)];
       pending.push_back(pool.submit([&, lo, hi](const CancellationToken&) {
         simulate_chunk(compiled, devices, options, lo, hi, records, stats);
       }));
@@ -221,7 +214,7 @@ FleetSummary run_fleet(const CompiledSchedule& compiled,
   }
 
   FleetSummary summary = reduce(records);
-  for (const EventWheel::Stats& stats : worker_stats) {
+  for (const EventQueue::Stats& stats : worker_stats) {
     summary.wheel.merge(stats);
   }
   return summary;

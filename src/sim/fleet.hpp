@@ -56,7 +56,9 @@ struct FleetSummary {
   int device_failed = 0;
   int attempts_exhausted = 0;
   /// Broken runs offered to the recovery probe (= broken runs when a probe
-  /// is set, else 0) and how many of those recovered.
+  /// is set, else 0) and how many of those recovered. The same tallies as
+  /// `missions`, `missions_recovered` and `mission_survival_rate`, under
+  /// the names the batch results JSON reports.
   int recovery_attempts = 0;
   int recovered = 0;
   /// recovered / recovery_attempts; 0 when nothing was attempted.
@@ -70,10 +72,13 @@ struct FleetSummary {
   Minutes histogram_min{0};
   Minutes histogram_max{0};
   std::vector<int> completion_histogram;
-  /// Wheel events consumed across all runs.
+  /// Queue events consumed across all runs: the device failures and attempt
+  /// exhaustions each replay drained before it completed or broke. Replays
+  /// that feed a mission probe post no more than trace-free ones.
   std::uint64_t events = 0;
-  /// Calendar-wheel statistics merged across all workers.
-  EventWheel::Stats wheel;
+  /// Event-queue statistics merged across all workers (the field keeps the
+  /// name `wheel` for the benchmark drivers that read it).
+  EventQueue::Stats wheel;
 
   // Multi-fault mission reductions (populated when a mission probe is set;
   // zero otherwise). A "mission" is one broken run driven through the

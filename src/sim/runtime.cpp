@@ -1,6 +1,6 @@
-// Event-driven replay on the sim::EventWheel calendar queue. The schedule is
-// compiled once (compile_schedule) and each run posts operation-start,
-// completion, attempt-exhaustion and device-failure events which drain in
+// Event-driven replay on the sim::EventQueue heap. The schedule is compiled
+// once (compile_schedule) and each run posts only the events that can break
+// it — attempt exhaustions and device failures — which drain in
 // (time, type, key, seq) order; the first break event truncates the run
 // without realizing the remaining layers or rescanning any window list. The
 // output is bit-identical to simulate_run_reference (the original three-pass
@@ -15,14 +15,15 @@
 //    (they start at or after the drain horizon, hence after T), which the
 //    realized-count-vs-static-load comparison answers in O(1); realized
 //    windows are answered by one scan of the window list, performed at most
-//    once per run because the first break truncates it. This replaces
-//    per-event pending-count bookkeeping, so a summary replay posts only
-//    the events that can break a run (failures and exhaustions).
-//  - Same-instant events drain completions first (releasing devices before a
-//    failure looks for stranded work), then device failures by device id,
-//    then exhaustions by operation id — exactly the reference's Break::beats
-//    tie-break — then starts (a window starting at T is not stranded by a
-//    failure at T).
+//    once per run because the first break truncates it. Windows finishing
+//    exactly at T release their device first (the scan skips them), and a
+//    window starting at T is not stranded by a failure at T, so operation
+//    starts and completions need no events of their own. Traced and
+//    trace-free replays post the same events; trace assembly reads the
+//    realized windows.
+//  - Same-instant events drain device failures by device id, then
+//    exhaustions by operation id — exactly the reference's Break::beats
+//    tie-break.
 #include "sim/runtime.hpp"
 
 #include <algorithm>
@@ -194,7 +195,7 @@ ReplaySummary Replayer::replay(const CompiledSchedule& compiled,
   ReplaySummary summary;
   summary.planned_fixed = compiled.planned_fixed;
 
-  wheel_.reset(0);
+  queue_.reset(0);
   // Failures can only matter on devices the schedule actually uses; a
   // failure of an unused device can never be "affected" and is dropped here.
   for (std::size_t fi = 0; fi < failures->size(); ++fi) {
@@ -203,14 +204,9 @@ ReplaySummary Replayer::replay(const CompiledSchedule& compiled,
     if (d < 0 || d >= compiled.device_limit || compiled.device_load[static_cast<std::size_t>(d)] == 0) {
       continue;
     }
-    wheel_.post(Event{std::max<std::int64_t>(event.at.count(), 0),
+    queue_.post(Event{std::max<std::int64_t>(event.at.count(), 0),
                       EventType::DeviceFailure, d, static_cast<std::int32_t>(fi), 0});
   }
-  // A summary-only replay posts the minimal event set — device failures and
-  // attempt exhaustions, the only events that can break a run. Starts and
-  // completions steer nothing a summary reports; a traced replay still
-  // posts the full stream so the drained timeline is complete.
-  const bool minimal_events = trace == nullptr;
 
   std::optional<BreakPoint> broke;
   Minutes clock{0};
@@ -250,16 +246,11 @@ ReplaySummary Replayer::replay(const CompiledSchedule& compiled,
       const std::int32_t window_index = static_cast<std::int32_t>(windows_.size());
       windows_.push_back(w);
       ++device_realized_[static_cast<std::size_t>(w.device.value())];
-      if (!minimal_events) {
-        wheel_.post(Event{w.start.count(), EventType::Start, window_index, window_index, 0});
-        wheel_.post(Event{w.completion().count(), EventType::Completion, window_index,
-                          window_index, 0});
-      }
       if (w.exhausted) {
         // The controller alarms when the attempt cap trips: a break
         // candidate keyed by operation id (the reference's exhaustion
         // tie-break), losing to any same-minute device failure.
-        wheel_.post(Event{w.completion().count(), EventType::Exhaustion,
+        queue_.post(Event{w.completion().count(), EventType::Exhaustion,
                           w.op.value(), window_index, 0});
       }
     }
@@ -269,15 +260,13 @@ ReplaySummary Replayer::replay(const CompiledSchedule& compiled,
     // Drain this layer's horizon. Events exactly on a non-final boundary are
     // deferred to the next round: a boundary break belongs to the layer
     // about to run (the reference's layer_at uses `at < finish`), and the
-    // next layer's starts at that same minute must be posted first.
+    // next layer's windows starting at that minute must be realized (and
+    // their exhaustions posted) first.
     const std::int64_t horizon =
         li + 1 < layer_count ? clock.count() - 1 : clock.count();
-    while (std::optional<Event> event = wheel_.next(horizon)) {
+    while (std::optional<Event> event = queue_.next(horizon)) {
       ++summary.events;
       switch (event->type) {
-        case EventType::Completion:
-        case EventType::Start:
-          break;  // neither alters a replay; posted for the trace stream
         case EventType::DeviceFailure: {
           const FaultEvent& fault = (*failures)[static_cast<std::size_t>(event->payload)];
           const std::size_t d = static_cast<std::size_t>(fault.device.value());

@@ -18,7 +18,7 @@
 
 #include "model/assay.hpp"
 #include "schedule/types.hpp"
-#include "sim/event_wheel.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/faults.hpp"
 
 namespace cohls::sim {
@@ -120,7 +120,7 @@ struct RunTrace {
 
 /// The original three-pass implementation of simulate_run (full-window
 /// materialization and O(windows x faults) break scans). Kept as the
-/// differential-testing oracle and benchmark baseline for the event-wheel
+/// differential-testing oracle and benchmark baseline for the event-driven
 /// replay: both must produce bit-identical RunTraces for every input.
 [[nodiscard]] RunTrace simulate_run_reference(const schedule::SynthesisResult& result,
                                               const model::Assay& assay,
@@ -175,18 +175,18 @@ struct ReplaySummary {
   int break_layer = -1;  ///< layer index active at the break; -1 when completed
   DeviceId failed_device;
   OperationId failed_op;
-  /// Wheel events consumed by this replay. Summary-only replays post the
-  /// minimal event set (device failures and attempt exhaustions — the only
-  /// events that can break a run), so this is smaller than for a traced
-  /// replay of the same run, and zero for a fault-free summary; it is
-  /// deterministic for fixed inputs either way.
+  /// Queue events consumed by this replay. Every replay, traced or not,
+  /// posts only the events that can break a run (device failures and
+  /// attempt exhaustions), so this is the same for a traced and a summary
+  /// replay of the same run, zero for a fault-free one, and deterministic
+  /// for fixed inputs.
   std::uint64_t events = 0;
 
   [[nodiscard]] bool ok() const { return outcome == RunOutcome::Completed; }
   [[nodiscard]] Minutes overrun() const { return completed_at - planned_fixed; }
 };
 
-/// Event-driven replay engine. One Replayer owns the calendar wheel and all
+/// Event-driven replay engine. One Replayer owns the event queue and all
 /// scratch state, reused across runs so a steady-state fleet replay performs
 /// no allocation; it is cheap to construct but NOT thread-safe — use one per
 /// worker. Results are bit-identical to simulate_run{,_reference} for the
@@ -204,9 +204,9 @@ class Replayer {
   [[nodiscard]] ReplaySummary run_summary(const CompiledSchedule& compiled,
                                           const RuntimeOptions& options);
 
-  /// Cumulative wheel statistics across every run of this Replayer.
-  [[nodiscard]] const EventWheel::Stats& wheel_stats() const {
-    return wheel_.stats();
+  /// Cumulative queue statistics across every run of this Replayer.
+  [[nodiscard]] const EventQueue::Stats& queue_stats() const {
+    return queue_.stats();
   }
 
  private:
@@ -234,7 +234,7 @@ class Replayer {
   [[nodiscard]] ReplaySummary replay(const CompiledSchedule& compiled,
                                      const RuntimeOptions& options, RunTrace* trace);
 
-  EventWheel wheel_;
+  EventQueue queue_;
   std::vector<Window> windows_;
   std::vector<Minutes> layer_begin_;
   std::vector<Minutes> layer_finish_;

@@ -1,9 +1,11 @@
-// Differential parity: the event-wheel replay (simulate_run) must produce
+// Differential parity: the event-driven replay (simulate_run) must produce
 // bit-identical RunTraces to the original three-pass implementation
-// (simulate_run_reference) across the PR-5 randomized fault-sweep corpus —
+// (simulate_run_reference) across the randomized fault-sweep corpus —
 // every protocol x device x layer boundary x seed — plus exhaustion,
 // degradation, transport and hazard-sampled plans. Any divergence in any
-// field, down to the failure detail string, is a bug in the wheel replay.
+// field, down to the failure detail string, is a bug in the event replay.
+// On the corpus, a traced replay's digest must also equal the trace-free
+// replay's summary, event count included.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -40,15 +42,15 @@ core::SynthesisOptions sweep_options() {
   return options;
 }
 
-void expect_identical(const sim::RunTrace& wheel, const sim::RunTrace& reference,
+void expect_identical(const sim::RunTrace& replayed, const sim::RunTrace& reference,
                       const std::string& context) {
-  ASSERT_EQ(wheel.outcome, reference.outcome) << context;
-  ASSERT_EQ(wheel.completed_at, reference.completed_at) << context;
-  ASSERT_EQ(wheel.planned_fixed, reference.planned_fixed) << context;
+  ASSERT_EQ(replayed.outcome, reference.outcome) << context;
+  ASSERT_EQ(replayed.completed_at, reference.completed_at) << context;
+  ASSERT_EQ(replayed.planned_fixed, reference.planned_fixed) << context;
 
-  ASSERT_EQ(wheel.layers.size(), reference.layers.size()) << context;
-  for (std::size_t li = 0; li < wheel.layers.size(); ++li) {
-    const sim::LayerTrace& a = wheel.layers[li];
+  ASSERT_EQ(replayed.layers.size(), reference.layers.size()) << context;
+  for (std::size_t li = 0; li < replayed.layers.size(); ++li) {
+    const sim::LayerTrace& a = replayed.layers[li];
     const sim::LayerTrace& b = reference.layers[li];
     ASSERT_EQ(a.layer, b.layer) << context << " layer " << li;
     ASSERT_EQ(a.start, b.start) << context << " layer " << li;
@@ -65,11 +67,11 @@ void expect_identical(const sim::RunTrace& wheel, const sim::RunTrace& reference
     }
   }
 
-  ASSERT_EQ(wheel.completed, reference.completed) << context;
-  ASSERT_EQ(wheel.lost, reference.lost) << context;
-  ASSERT_EQ(wheel.in_flight.size(), reference.in_flight.size()) << context;
-  for (std::size_t i = 0; i < wheel.in_flight.size(); ++i) {
-    const sim::InFlightOperation& x = wheel.in_flight[i];
+  ASSERT_EQ(replayed.completed, reference.completed) << context;
+  ASSERT_EQ(replayed.lost, reference.lost) << context;
+  ASSERT_EQ(replayed.in_flight.size(), reference.in_flight.size()) << context;
+  for (std::size_t i = 0; i < replayed.in_flight.size(); ++i) {
+    const sim::InFlightOperation& x = replayed.in_flight[i];
     const sim::InFlightOperation& y = reference.in_flight[i];
     ASSERT_EQ(x.op, y.op) << context;
     ASSERT_EQ(x.device, y.device) << context;
@@ -78,9 +80,9 @@ void expect_identical(const sim::RunTrace& wheel, const sim::RunTrace& reference
     ASSERT_EQ(x.remaining, y.remaining) << context;
   }
 
-  ASSERT_EQ(wheel.failure.has_value(), reference.failure.has_value()) << context;
-  if (wheel.failure.has_value()) {
-    const sim::RunFailure& a = *wheel.failure;
+  ASSERT_EQ(replayed.failure.has_value(), reference.failure.has_value()) << context;
+  if (replayed.failure.has_value()) {
+    const sim::RunFailure& a = *replayed.failure;
     const sim::RunFailure& b = *reference.failure;
     ASSERT_EQ(a.outcome, b.outcome) << context;
     ASSERT_EQ(a.layer, b.layer) << context;
@@ -91,11 +93,25 @@ void expect_identical(const sim::RunTrace& wheel, const sim::RunTrace& reference
   }
 }
 
+void expect_same_summary(sim::Replayer& replayer, const sim::CompiledSchedule& compiled,
+                         const sim::RuntimeOptions& options, const std::string& context) {
+  sim::ReplaySummary digest;
+  (void)replayer.run(compiled, options, &digest);
+  const sim::ReplaySummary summary = replayer.run_summary(compiled, options);
+  ASSERT_EQ(digest.outcome, summary.outcome) << context;
+  ASSERT_EQ(digest.completed_at, summary.completed_at) << context;
+  ASSERT_EQ(digest.planned_fixed, summary.planned_fixed) << context;
+  ASSERT_EQ(digest.break_layer, summary.break_layer) << context;
+  ASSERT_EQ(digest.failed_device, summary.failed_device) << context;
+  ASSERT_EQ(digest.failed_op, summary.failed_op) << context;
+  ASSERT_EQ(digest.events, summary.events) << context;
+}
+
 void expect_parity(const schedule::SynthesisResult& result, const model::Assay& assay,
                    const sim::RuntimeOptions& options, const std::string& context) {
-  const sim::RunTrace wheel = sim::simulate_run(result, assay, options);
+  const sim::RunTrace replayed = sim::simulate_run(result, assay, options);
   const sim::RunTrace reference = sim::simulate_run_reference(result, assay, options);
-  expect_identical(wheel, reference, context);
+  expect_identical(replayed, reference, context);
 }
 
 TEST(RuntimeParity, FaultSweepCorpusIsBitIdentical) {
@@ -104,6 +120,9 @@ TEST(RuntimeParity, FaultSweepCorpusIsBitIdentical) {
   for (const Protocol& protocol : protocols()) {
     const core::SynthesisReport report = core::synthesize(protocol.assay, options);
     ASSERT_FALSE(report.result.layers.empty()) << protocol.name;
+    const sim::CompiledSchedule compiled =
+        sim::compile_schedule(report.result, protocol.assay);
+    sim::Replayer replayer;
 
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
       sim::RuntimeOptions healthy;
@@ -113,6 +132,8 @@ TEST(RuntimeParity, FaultSweepCorpusIsBitIdentical) {
       ASSERT_TRUE(base.ok());
       expect_parity(report.result, protocol.assay, healthy,
                     protocol.name + " healthy seed " + std::to_string(seed));
+      expect_same_summary(replayer, compiled, healthy,
+                          protocol.name + " healthy seed " + std::to_string(seed));
 
       std::set<Minutes> boundaries;
       for (const sim::LayerTrace& layer : base.layers) {
@@ -129,9 +150,10 @@ TEST(RuntimeParity, FaultSweepCorpusIsBitIdentical) {
                   << when.count() << " seed " << seed;
           const sim::RunTrace reference =
               sim::simulate_run_reference(report.result, protocol.assay, runtime);
-          const sim::RunTrace wheel =
+          const sim::RunTrace replayed =
               sim::simulate_run(report.result, protocol.assay, runtime);
-          expect_identical(wheel, reference, context.str());
+          expect_identical(replayed, reference, context.str());
+          expect_same_summary(replayer, compiled, runtime, context.str());
           if (!reference.ok()) {
             ++broken;
           }

@@ -199,7 +199,7 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if (arg == "--simulate-seed") {
       cli.simulate_seed = numeric_arg<std::uint64_t>(argc, argv, i);
     } else if (arg == "--fleet") {
-      cli.fleet_runs = numeric_arg<int>(argc, argv, i);
+      cli.fleet_runs = cli::flag_value<int>(argc, argv, i, usage, 0);
     } else if (arg == "--hazard") {
       cli.hazard_spec = string_arg(argc, argv, i);
     } else if (arg == "--fleet-seed") {
@@ -207,7 +207,7 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if (arg == "--fleet-recover") {
       cli.fleet_recover = true;
     } else if (arg == "--recover-rounds") {
-      cli.recover_rounds = numeric_arg<int>(argc, argv, i);
+      cli.recover_rounds = cli::flag_value<int>(argc, argv, i, usage, 1);
     } else if (arg == "--recover-budget") {
       cli.recover_budget_seconds = numeric_arg<double>(argc, argv, i);
     } else if (arg == "--save-results") {

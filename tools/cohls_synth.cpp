@@ -150,7 +150,7 @@ CliOptions parse_cli(int argc, char** argv) {
       }
       cli.fault_plan_path = argv[++i];
     } else if (arg == "--recover-rounds") {
-      cli.recover_rounds = numeric_arg<int>(argc, argv, i);
+      cli.recover_rounds = cli::flag_value<int>(argc, argv, i, usage, 1);
     } else if (arg == "--recover-budget") {
       cli.recover_budget_seconds = numeric_arg<double>(argc, argv, i);
     } else if (arg == "--save-result") {
@@ -328,7 +328,7 @@ int main(int argc, char** argv) {
         // for work already done carried across rounds.
         core::MissionOptions mission;
         mission.synthesis = synthesis;
-        mission.max_rounds = std::max(1, cli.recover_rounds);
+        mission.max_rounds = cli.recover_rounds;
         mission.round_budget_seconds = cli.recover_budget_seconds;
         const core::MissionOutcome outcome =
             core::run_mission(assay, report.result, options, mission);
